@@ -21,7 +21,11 @@ open Xsim
 let measure_ns ?(quota = 0.5) name f =
   let test = Test.make ~name (Staged.stage f) in
   let cfg =
-    Benchmark.cfg ~limit:3000 ~quota:(Time.second quota) ~kde:None ()
+    (* No stabilization: it runs a GC compaction before every sample,
+       which on a heap left large by an earlier section eats the quota
+       and leaves a handful of samples. *)
+    Benchmark.cfg ~limit:3000 ~quota:(Time.second quota) ~kde:None
+      ~stabilize:false ()
   in
   let raw = Benchmark.all cfg [ Instance.monotonic_clock ] test in
   let ols =
@@ -617,20 +621,20 @@ let binding_ablation () =
 (* Ablation: the parse-once compile caches (script + expr). Three hot
    shapes where the same script text is evaluated over and over — a
    recursive proc, a tight while loop, and event-binding dispatch — run
-   with the caches on and off. The parse_passes counter shows how many
-   full scans of script text each mode performed. *)
+   with the caches on (compiled scripts on the VM) and off (the reference
+   evaluator). The parse_passes counter shows how many full scans of
+   script text each mode performed. *)
 
 let compile_stat_int tcl key =
   match List.assoc_opt key (Tcl.Interp.compile_stats tcl) with
   | Some v -> int_of_string v
   | None -> 0
 
-(* [compile] toggles the parse-once layer, [vm] the bytecode VM lowered
-   on top of it (the VM only runs when the compile layer is on). *)
-let bench_fib ~n ~compile ~vm () =
+(* [compile] selects the compiled tier (parse-once caches, bytecode VM)
+   or the reference evaluator. *)
+let bench_fib ~n ~compile () =
   let tcl = Tcl.Builtins.new_interp () in
   Tcl.Interp.set_compile_enabled tcl compile;
-  Tcl.Interp.set_vm_enabled tcl vm;
   ignore
     (Tcl.Interp.eval tcl
        "proc fib {n} {\n\
@@ -643,12 +647,11 @@ let bench_fib ~n ~compile ~vm () =
   | _, msg -> failwith ("fib bench failed: " ^ msg));
   Tcl.Interp.reset_compile_stats tcl;
   let dt = time_min (fun () -> ignore (Tcl.Interp.eval tcl call)) in
-  (dt, compile_stat_int tcl "parse_passes", Tcl.Interp.vm_stats tcl)
+  (dt, compile_stat_int tcl "parse_passes")
 
-let bench_while_10k ~compile ~vm () =
+let bench_while_10k ~compile () =
   let tcl = Tcl.Builtins.new_interp () in
   Tcl.Interp.set_compile_enabled tcl compile;
-  Tcl.Interp.set_vm_enabled tcl vm;
   let script =
     "set total 0\n\
      set i 0\n\
@@ -666,19 +669,15 @@ let bench_while_10k ~compile ~vm () =
         | Tcl.Interp.Tcl_ok, "49995000" -> ()
         | _, v -> failwith ("while bench wrong result: " ^ v))
   in
-  (dt, compile_stat_int tcl "parse_passes", Tcl.Interp.vm_stats tcl)
+  (dt, compile_stat_int tcl "parse_passes")
 
 (* A grid of buttons, each with a key binding; the pointer parks over one
    and a storm of keystrokes dispatches the same binding script. *)
-let bench_binding_storm ~events ~compile ~vm () =
+let bench_binding_storm ~events ~compile () =
   let server, app =
-    new_display_app
-      (Printf.sprintf "storm-%s-%s"
-         (if compile then "c1" else "c0")
-         (if vm then "v1" else "v0"))
+    new_display_app (if compile then "storm-c1" else "storm-c0")
   in
   Tcl.Interp.set_compile_enabled app.Tk.Core.interp compile;
-  Tcl.Interp.set_vm_enabled app.Tk.Core.interp vm;
   let buf = Buffer.create 512 in
   for i = 0 to 11 do
     Buffer.add_string buf (Printf.sprintf "button .b%d -text b%d\n" i i);
@@ -724,20 +723,12 @@ type script_case = {
 let collect_script_cases ~smoke =
   let fib_n = if smoke then 14 else 17 in
   let events = if smoke then 300 else 3000 in
-  (* The compile-cache ablation proper: VM off on both sides so the
-     numbers isolate parse-once from bytecode execution. *)
-  let fib_on, fib_on_p, _ = bench_fib ~n:fib_n ~compile:true ~vm:false () in
-  let fib_off, fib_off_p, _ =
-    bench_fib ~n:fib_n ~compile:false ~vm:false ()
-  in
-  let wh_on, wh_on_p, _ = bench_while_10k ~compile:true ~vm:false () in
-  let wh_off, wh_off_p, _ = bench_while_10k ~compile:false ~vm:false () in
-  let st_on, st_on_p, st_rate =
-    bench_binding_storm ~events ~compile:true ~vm:false ()
-  in
-  let st_off, st_off_p, _ =
-    bench_binding_storm ~events ~compile:false ~vm:false ()
-  in
+  let fib_on, fib_on_p = bench_fib ~n:fib_n ~compile:true () in
+  let fib_off, fib_off_p = bench_fib ~n:fib_n ~compile:false () in
+  let wh_on, wh_on_p = bench_while_10k ~compile:true () in
+  let wh_off, wh_off_p = bench_while_10k ~compile:false () in
+  let st_on, st_on_p, st_rate = bench_binding_storm ~events ~compile:true () in
+  let st_off, st_off_p, _ = bench_binding_storm ~events ~compile:false () in
   [
     {
       sc_name = Printf.sprintf "fib %d (recursive proc)" fib_n;
@@ -764,69 +755,6 @@ let collect_script_cases ~smoke =
       sc_hit_rate = Some st_rate;
     };
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Ablation: the bytecode VM (PR8). Both sides run with the compile
-   layer on; the off side is exactly what `wish -no-vm` gives. The fib
-   and while workloads are the register-allocation / jump-threading
-   showcases; the binding storm exercises inline-cached global sets on
-   the event-dispatch path. *)
-
-type vm_case = {
-  vm_name : string;
-  vm_on_s : float;
-  vm_off_s : float;
-  vm_counters : (string * string) list; (* tcl.vm.* from the on run *)
-}
-
-let collect_vm_cases ~smoke =
-  let fib_n = if smoke then 14 else 20 in
-  let events = if smoke then 300 else 3000 in
-  let fib_on, _, fib_stats = bench_fib ~n:fib_n ~compile:true ~vm:true () in
-  let fib_off, _, _ = bench_fib ~n:fib_n ~compile:true ~vm:false () in
-  let wh_on, _, wh_stats = bench_while_10k ~compile:true ~vm:true () in
-  let wh_off, _, _ = bench_while_10k ~compile:true ~vm:false () in
-  let st_on, _, _ = bench_binding_storm ~events ~compile:true ~vm:true () in
-  let st_off, _, _ = bench_binding_storm ~events ~compile:true ~vm:false () in
-  [
-    {
-      vm_name = Printf.sprintf "fib %d (recursive proc)" fib_n;
-      vm_on_s = fib_on;
-      vm_off_s = fib_off;
-      vm_counters = fib_stats;
-    };
-    {
-      vm_name = "while 10k accumulate";
-      vm_on_s = wh_on;
-      vm_off_s = wh_off;
-      vm_counters = wh_stats;
-    };
-    {
-      vm_name = Printf.sprintf "binding storm (%d keys)" events;
-      vm_on_s = st_on;
-      vm_off_s = st_off;
-      vm_counters = [];
-    };
-  ]
-
-let vm_ablation () =
-  section "Ablation: bytecode VM on vs off (compile layer on for both)";
-  Printf.printf "%-28s %12s %12s %9s  %s\n" "workload" "vm on" "vm off"
-    "speedup" "tcl.vm.* (on run)";
-  List.iter
-    (fun c ->
-      Printf.printf "%-28s %9.2f ms %9.2f ms %8.1fx  %s\n" c.vm_name
-        (c.vm_on_s *. 1000.0) (c.vm_off_s *. 1000.0)
-        (c.vm_off_s /. Float.max 1e-9 c.vm_on_s)
-        (String.concat " "
-           (List.filter_map
-              (fun (k, v) ->
-                match k with
-                | "compiled" | "deopts" | "slot_hits" ->
-                  Some (Printf.sprintf "%s=%s" k v)
-                | _ -> None)
-              c.vm_counters)))
-    (collect_vm_cases ~smoke:false)
 
 let scripts_ablation () =
   section "Ablation: parse-once script/expr caches on vs off";
@@ -870,10 +798,7 @@ let optiondb_ablation () =
 
 (* ------------------------------------------------------------------ *)
 (* Whole-program analyzer throughput (PR 10): lines/sec, procedures and
-   call-graph edges over examples/ and a synthetic proc-heavy corpus,
-   plus the VM kind-seed ablation — the analyzer's formal-kind facts
-   prime argument reps at bind time so a canonical proc's first
-   execution skips string shimmering. *)
+   call-graph edges over examples/ and a synthetic proc-heavy corpus. *)
 
 type lint_row = {
   li_name : string;
@@ -958,36 +883,6 @@ let collect_lint_cases ~smoke =
   in
   List.map (fun (name, files) -> lint_case name files) cases
 
-(* The kind-seed ablation: fib's first execution with and without the
-   analyzer's n:int fact installed.  Seeding happens before the lazy
-   lowering, so the seeded/primed counters accumulate during the run. *)
-let lint_seed_case seeded =
-  let _server, app =
-    new_display_app (if seeded then "seed_on" else "seed_off")
-  in
-  let src =
-    "proc fib {n} {\n\
-     \  if {$n < 2} {return $n}\n\
-     \  return [expr [fib [expr $n - 1]] + [fib [expr $n - 2]]]\n\
-     }"
-  in
-  ignore (run_tcl app src);
-  if seeded then begin
-    let out =
-      Tcl.Lint.analyze_program ~whole:true app.Tk.Core.interp
-        [ (None, src ^ "\nfib 20") ]
-    in
-    List.iter
-      (fun (name, facts) ->
-        Tcl.Interp.seed_proc_kinds app.Tk.Core.interp name facts)
-      out.Tcl.Lint.o_facts
-  end;
-  Tcl.Interp.reset_vm_stats app.Tk.Core.interp;
-  let wall = time_wall (fun () -> ignore (run_tcl app "fib 22")) in
-  (wall, Tcl.Interp.vm_stats app.Tk.Core.interp)
-
-let vm_stat k stats = try List.assoc k stats with Not_found -> "0"
-
 let lint_section ~smoke =
   section "Whole-program analysis (tclcheck engine): throughput";
   Printf.printf "%-24s %6s %7s %7s %8s %7s %10s %12s\n" "corpus" "files"
@@ -998,16 +893,7 @@ let lint_section ~smoke =
         r.li_files r.li_lines r.li_procs r.li_edges r.li_diags
         (r.li_wall_s *. 1000.0)
         (float_of_int r.li_lines /. Float.max 1e-9 r.li_wall_s))
-    (collect_lint_cases ~smoke);
-  let w_off, _ = lint_seed_case false in
-  let w_on, s_on = lint_seed_case true in
-  Printf.printf
-    "\n\
-     VM kind-seed ablation (first run of fib 22): unseeded %.2f ms, seeded \
-     %.2f ms (procs seeded %s, reps primed %s)\n"
-    (w_off *. 1000.0) (w_on *. 1000.0)
-    (vm_stat "seeded" s_on)
-    (vm_stat "seed_primed" s_on)
+    (collect_lint_cases ~smoke)
 
 (* ------------------------------------------------------------------ *)
 (* Canvas at scale: per-item cost of create / move-one / move-tag /
@@ -1283,6 +1169,8 @@ let emit_json ~path ~smoke =
      evaluates the record literal below right-to-left — an inline call
      down there would run dead last.) *)
   let canvas_cases = collect_canvas_cases ~smoke in
+  (* Drop the canvas section's garbage before the Table II timings. *)
+  Gc.full_major ();
   let set_ns = bench_set_a_1 ?quota () in
   let send_ns, send_reqs, send_rts = bench_send_empty ?quota () in
   let btn_ns, btn_reqs =
@@ -1296,8 +1184,6 @@ let emit_json ~path ~smoke =
   let abl_off = rescache_ablation_case false in
   let ib = bench_interp ?quota () in
   let lint_cases = collect_lint_cases ~smoke in
-  let seed_off_wall, _ = lint_seed_case false in
-  let seed_on_wall, seed_on_stats = lint_seed_case true in
   let scripts =
     List.map
       (fun c ->
@@ -1315,25 +1201,6 @@ let emit_json ~path ~smoke =
           | Some r -> [ ("compile_cache_hit_rate", J_float r) ]
           | None -> []))
       (collect_script_cases ~smoke)
-  in
-  let vm_cases =
-    List.map
-      (fun c ->
-        J_obj
-          ([
-             ("workload", J_string c.vm_name);
-             ("vm_on_ms", J_float (c.vm_on_s *. 1000.0));
-             ("vm_off_ms", J_float (c.vm_off_s *. 1000.0));
-             ("speedup", J_float (c.vm_off_s /. Float.max 1e-9 c.vm_on_s));
-           ]
-          @ List.filter_map
-              (fun (k, v) ->
-                match k with
-                | "compiled" | "deopts" | "slot_hits" ->
-                  Some ("vm_" ^ k, json_of_counter v)
-                | _ -> None)
-              c.vm_counters))
-      (collect_vm_cases ~smoke)
   in
   let sweep =
     List.map
@@ -1429,7 +1296,6 @@ let emit_json ~path ~smoke =
                    ])
                canvas_cases) );
         ("scripts", J_list scripts);
-        ("vm", J_list vm_cases);
         ( "lint",
           J_obj
             [
@@ -1452,16 +1318,6 @@ let emit_json ~path ~smoke =
                                /. Float.max 1e-9 r.li_wall_s) );
                          ])
                      lint_cases) );
-              ( "seed_ablation",
-                J_obj
-                  [
-                    ("workload", J_string "fib 22 first run");
-                    ("unseeded_ms", J_float (seed_off_wall *. 1000.0));
-                    ("seeded_ms", J_float (seed_on_wall *. 1000.0));
-                    ("procs_seeded", json_of_counter (vm_stat "seeded" seed_on_stats));
-                    ( "reps_primed",
-                      json_of_counter (vm_stat "seed_primed" seed_on_stats) );
-                  ] );
             ] );
         ("send_storm", storm_json ~smoke);
         ( "counters",
@@ -1493,7 +1349,6 @@ let full_suite () =
   structcache_ablation ();
   binding_ablation ();
   scripts_ablation ();
-  vm_ablation ();
   optiondb_ablation ();
   lint_section ~smoke:false;
   print_newline ()

@@ -182,20 +182,29 @@ type display_clients = {
   dc_by_comm : (Xid.t, app) Hashtbl.t;
 }
 
+(* One entry per display that has live local applications: created by
+   the first app registered there, dropped with the last one. *)
 let registries : (Server.t * display_clients) list ref = ref []
 
+let find_clients server = List.assq_opt server !registries
+
 let clients_for server =
-  match List.find_opt (fun (s, _) -> s == server) !registries with
-  | Some (_, dc) -> dc
+  match find_clients server with
+  | Some dc -> dc
   | None ->
     let dc = { dc_apps = []; dc_by_comm = Hashtbl.create 64 } in
     registries := (server, dc) :: !registries;
     dc
 
-let local_apps server = (clients_for server).dc_apps
+let local_apps server =
+  match find_clients server with Some dc -> dc.dc_apps | None -> []
 
 let app_of_comm server comm =
-  Hashtbl.find_opt (clients_for server).dc_by_comm comm
+  match find_clients server with
+  | Some dc -> Hashtbl.find_opt dc.dc_by_comm comm
+  | None -> None
+
+let registered_displays () = List.length !registries
 
 (* The display registry is sharded over a fixed set of root-window
    properties keyed by a hash of the application name, so a single-name
@@ -1046,9 +1055,13 @@ let destroy_hooks : (app -> unit) list ref = ref []
 let add_destroy_hook f = destroy_hooks := f :: !destroy_hooks
 
 let unregister_app app =
-  let dc = clients_for app.server in
-  dc.dc_apps <- List.filter (fun a -> a != app) dc.dc_apps;
-  Hashtbl.remove dc.dc_by_comm app.comm_win;
+  (match find_clients app.server with
+  | Some dc ->
+    dc.dc_apps <- List.filter (fun a -> a != app) dc.dc_apps;
+    Hashtbl.remove dc.dc_by_comm app.comm_win;
+    if dc.dc_apps = [] then
+      registries := List.filter (fun (s, _) -> s != app.server) !registries
+  | None -> ());
   (* Remove our name from its registry shard. *)
   let k = shard_of_name app.app_name in
   write_registry_shard app k

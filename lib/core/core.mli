@@ -238,6 +238,9 @@ val local_apps : Server.t -> app list
 val app_of_comm : Server.t -> Xid.t -> app option
 (** Find a local application by its communication window. *)
 
+val registered_displays : unit -> int
+(** Number of displays with at least one live local application. *)
+
 (** {1 Widgets} *)
 
 val main_widget : app -> widget

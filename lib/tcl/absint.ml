@@ -225,16 +225,6 @@ let eval_quiet lookup ast =
   | v -> v
   | exception Guaranteed _ -> Vtop
 
-let vm_kind v =
-  match v with
-  | Vconst _ | Vint | Vfloat | Vlist -> (
-    match widen v with
-    | Vint -> Some Vm.Kint
-    | Vfloat -> Some Vm.Kfloat
-    | Vlist -> Some Vm.Klist
-    | _ -> None)
-  | _ -> None
-
 let to_string = function
   | Vbot -> "bot"
   | Vconst c -> Printf.sprintf "const %S" c

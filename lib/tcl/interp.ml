@@ -206,8 +206,6 @@ type vm_stats = {
   mutable v_deopts : int;  (* inlined opcodes that fell back to dispatch *)
   mutable v_slot_hits : int;  (* variable reads/writes served by a slot
                                  or a valid inline cache *)
-  mutable v_seeded : int;  (* procs lowered with analyzer kind seeds *)
-  mutable v_seed_primed : int;  (* argument reps primed at bind time *)
 }
 
 type t = {
@@ -225,8 +223,9 @@ type t = {
   mutable history : (int * string) list; (* newest first *)
   mutable history_next : int;
   mutable compile_enabled : bool;
-      (* parse-once mode: scripts and exprs run from cached compiled
-         forms; off = the reference character-at-a-time evaluator *)
+      (* parse-once mode: scripts run as cached lowered VM code and exprs
+         from cached ASTs; off = the reference character-at-a-time
+         evaluator *)
   script_cache : (string, script_entry) Hashtbl.t;
   expr_cache : (string, expr_entry) Hashtbl.t;
   mutable cache_tick : int; (* LRU clock for both caches *)
@@ -262,9 +261,6 @@ type t = {
          let it through instead of stopping it *)
   mutable guard : guard_stats; (* shared by reference across the tree *)
   (* --- bytecode VM --- *)
-  mutable vm_enabled : bool;
-      (* run lowered opcodes when possible (default on); off = the
-         compiled word-template path — the benchmark ablation's -no-vm *)
   mutable vm_canon : bool;
       (* the ten structural builtins are still the canonical ones
          snapshotted by [mark_canonical]: inlined opcodes may bypass
@@ -280,9 +276,6 @@ type t = {
          skip the string round-trip; None whenever no typed producer
          ran (consumers then parse the string result as before) *)
   vm : vm_stats;
-  kind_seeds : (string, (string * Vm.kind) list) Hashtbl.t;
-      (* per-proc formal kinds proven by the analyzer (Lint.o_facts),
-         applied as Vm.lower_proc seeds on the next lowering *)
 }
 
 and command = t -> string list -> result
@@ -294,11 +287,9 @@ and cmd_def =
 and proc_def = {
   formals : (string * string option) list;
   body : string;
-  mutable pcode : Compile.program option;
-      (* compiled at definition time (or lazily on first call); always
-         derived from [body], so redefinition replaces it atomically *)
   mutable pvm : frame Vm.code option;
-      (* lowered on first VM call; like [pcode], derived from [body] *)
+      (* compiled and lowered on first call; always derived from [body],
+         so redefinition (a fresh record) replaces it atomically *)
   mutable pframes : frame list;
       (* pool of call frames for reuse, bounded by recursion depth: only
          frames that never spilled into their hashtable (fgen = 0, so no
@@ -307,8 +298,7 @@ and proc_def = {
 }
 
 and script_entry = {
-  code : Compile.program;
-  mutable s_vm : frame Vm.code option;  (* lowered on first VM run *)
+  s_code : frame Vm.code;
   mutable s_tick : int;
 }
 
@@ -396,20 +386,11 @@ let create () =
     cancel_request = None;
     unwinding = false;
     guard = fresh_guard_stats ();
-    vm_enabled = true;
     vm_canon = false;
     vm_canon_defs = [];
     vm_lastcmd = None;
     vm_xval = None;
-    vm =
-      {
-        v_compiled = 0;
-        v_deopts = 0;
-        v_slot_hits = 0;
-        v_seeded = 0;
-        v_seed_primed = 0;
-      };
-    kind_seeds = Hashtbl.create 8;
+    vm = { v_compiled = 0; v_deopts = 0; v_slot_hits = 0 };
   }
 
 let current_frame t =
@@ -628,16 +609,11 @@ let link_var t ~target_level ~target ~local =
 (* ------------------------------------------------------------------ *)
 (* Commands *)
 
-(* The structural commands the VM may inline.  [mark_canonical]
-   (called once the builtins are installed) snapshots their
-   definitions; any later mutation of the command table recomputes
-   [vm_canon] by physical comparison, so redefining, renaming, hiding
-   or shadowing one of these immediately routes inlined opcodes back
-   through ordinary dispatch. *)
-let vm_inline_names =
-  [ "set"; "incr"; "expr"; "if"; "while"; "for"; "foreach"; "return";
-    "break"; "continue" ]
-
+(* [mark_canonical] (called once the builtins are installed) snapshots
+   the definitions of the commands the VM inlines; any later mutation of
+   the command table recomputes [vm_canon] by physical comparison, so
+   redefining, renaming, hiding or shadowing one of them immediately
+   routes inlined opcodes back through ordinary dispatch. *)
 let refresh_canon t =
   t.vm_lastcmd <- None;
   t.vm_canon <-
@@ -654,7 +630,7 @@ let mark_canonical t =
     List.filter_map
       (fun n ->
         Option.map (fun d -> (n, d)) (Hashtbl.find_opt t.commands n))
-      vm_inline_names;
+      Vm.inline_names;
   refresh_canon t
 
 let register t name cmd =
@@ -715,10 +691,7 @@ let compile_counted t src =
   Compile.compile src
 
 let define_proc t name formals body =
-  let p = { formals; body; pcode = None; pvm = None; pframes = [] } in
-  (* Parse the body once at definition time; a redefinition installs a
-     fresh record, so stale code cannot survive. *)
-  if t.compile_enabled then p.pcode <- Some (compile_counted t body);
+  let p = { formals; body; pvm = None; pframes = [] } in
   Hashtbl.replace t.commands name (Proc p);
   refresh_canon t
 
@@ -851,8 +824,11 @@ let script_entry_for t src =
     (if Hashtbl.length t.script_cache >= cache_limit then
        if evict_oldest t.script_cache (fun e -> e.s_tick) then
          t.stats.script_evictions <- t.stats.script_evictions + 1);
-    let code = compile_counted t src in
-    let e = { code; s_vm = None; s_tick = bump_tick t } in
+    let s_code =
+      Vm.lower ~compile:(compile_counted t) (compile_counted t src)
+    in
+    t.vm.v_compiled <- t.vm.v_compiled + 1;
+    let e = { s_code; s_tick = bump_tick t } in
     Hashtbl.add t.script_cache src e;
     e
 
@@ -878,35 +854,18 @@ let set_compile_enabled t flag = t.compile_enabled <- flag
 
 let compile_enabled t = t.compile_enabled
 
-let set_vm_enabled t flag = t.vm_enabled <- flag
-
-let vm_enabled t = t.vm_enabled
-
 let reset_vm_stats t =
   t.vm.v_compiled <- 0;
   t.vm.v_deopts <- 0;
-  t.vm.v_slot_hits <- 0;
-  t.vm.v_seeded <- 0;
-  t.vm.v_seed_primed <- 0
+  t.vm.v_slot_hits <- 0
 
 let vm_stats t =
   [
-    ("enabled", if t.vm_enabled then "1" else "0");
     ("canonical", if t.vm_canon then "1" else "0");
     ("compiled", string_of_int t.vm.v_compiled);
     ("deopts", string_of_int t.vm.v_deopts);
     ("slot_hits", string_of_int t.vm.v_slot_hits);
-    ("seeded", string_of_int t.vm.v_seeded);
-    ("seed_primed", string_of_int t.vm.v_seed_primed);
   ]
-
-let seed_proc_kinds t name facts =
-  if facts = [] then Hashtbl.remove t.kind_seeds name
-  else Hashtbl.replace t.kind_seeds name facts;
-  (* A proc already lowered relowers with the seed on its next call. *)
-  match Hashtbl.find_opt t.commands name with
-  | Some (Proc p) -> p.pvm <- None
-  | _ -> ()
 
 let clear_compile_caches t =
   Hashtbl.reset t.script_cache;
@@ -1485,7 +1444,7 @@ and invoke_hidden t name words =
   | Some (Proc p) -> call_proc t name p words
 
 and call_proc t name p words =
-  if t.compile_enabled && t.vm_enabled && t.vm_canon then
+  if t.compile_enabled then
     (* String-words entry (reference dispatch, eval_words): wrap the
        actuals; the callee owns the fresh Tvals. *)
     call_proc_vm t Vstring name p (List.map Tval.of_string (List.tl words))
@@ -1522,137 +1481,22 @@ and call_proc_ref t name p words =
     let res =
       Fun.protect
         ~finally:(fun () -> t.stack <- List.tl t.stack)
-        (fun () -> run_proc_body t p)
+        (fun () ->
+          t.stats.parse_passes <- t.stats.parse_passes + 1;
+          let status, v, _ = eval_in t p.body 0 ~bracket:false in
+          (status, v))
     in
     finish_proc name res
-
-and run_proc_body t p =
-  if t.compile_enabled then begin
-    let code =
-      match p.pcode with
-      | Some code -> code
-      | None ->
-        (* Defined while the cache was off, called with it on. *)
-        let code = compile_counted t p.body in
-        p.pcode <- Some code;
-        code
-    in
-    exec_program t code
-  end
-  else begin
-    t.stats.parse_passes <- t.stats.parse_passes + 1;
-    let status, v, _ = eval_in t p.body 0 ~bracket:false in
-    (status, v)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Execution of compiled programs.
-
-   Mirrors eval_in / eval_loop / parse_and_run over the pre-parsed form;
-   every status, error message, errorInfo line and side-effect order
-   must match the reference evaluator above. *)
-
-and exec_program t prog =
-  if t.depth = 0 then begin
-    t.error_in_progress <- false;
-    t.unwinding <- false
-  end;
-  if t.depth > t.recursionlimit then begin
-    t.guard.g_recursion_exceeded <- t.guard.g_recursion_exceeded + 1;
-    (Tcl_error, "too many nested evaluations (infinite loop?)")
-  end
-  else begin
-    match if t.guard_active then guard_check t ~spend:false else None with
-    | Some msg -> (Tcl_error, msg)
-    | None ->
-    t.depth <- t.depth + 1;
-    let finally () = t.depth <- t.depth - 1 in
-    match exec_commands t prog (Tcl_ok, "") with
-    | res ->
-      finally ();
-      res
-    | exception e ->
-      finally ();
-      raise e
-  end
-
-and exec_commands t prog last =
-  match prog with
-  | [] -> last
-  | cmd :: rest -> (
-    match exec_command t cmd with
-    | (Tcl_ok, _) as res -> exec_commands t rest res
-    | res -> res)
-
-and exec_command t (cmd : Compile.command) =
-  match subst_words t cmd.words [] with
-  | exception Propagate (status, v) -> (status, v)
-  | exception Tcl_failure msg ->
-    (* A substitution or structural error: errorInfo starts with the bare
-       message; the enclosing command adds its own trace line. *)
-    if not t.error_in_progress then begin
-      t.error_in_progress <- true;
-      set_error_info t msg
-    end;
-    (Tcl_error, msg)
-  | [] -> (Tcl_ok, "") (* blank command resets the running result *)
-  | words ->
-    let (status, v) as res = invoke t words in
-    if status = Tcl_error then trace_error t ~command:cmd.text v;
-    res
-
-and subst_words t words acc =
-  match words with
-  | [] -> List.rev acc
-  | w :: rest ->
-    let s = subst_word t w in
-    subst_words t rest (s :: acc)
-
-and subst_word t (w : Compile.word) =
-  match w with
-  | Compile.W_lit s -> s
-  | Compile.W_parts [ Compile.Var name ] -> get_var_exn t name
-  | Compile.W_parts [ Compile.Cmd prog ] -> exec_nested t prog
-  | Compile.W_parts parts ->
-    let buf = Buffer.create 16 in
-    subst_parts t parts buf;
-    Buffer.contents buf
-  | Compile.W_fail (parts, msg) ->
-    (* Replay the substitutions scanned before the syntax error (they may
-       have side effects or abort first), then report it. *)
-    let buf = Buffer.create 16 in
-    subst_parts t parts buf;
-    raise (Tcl_failure msg)
-
-and subst_parts t parts buf =
-  List.iter
-    (fun (p : Compile.part) ->
-      match p with
-      | Compile.Lit s -> Buffer.add_string buf s
-      | Compile.Var name -> Buffer.add_string buf (get_var_exn t name)
-      | Compile.Var_idx (base, idx) ->
-        let ibuf = Buffer.create 8 in
-        subst_parts t idx ibuf;
-        let name = base ^ "(" ^ Buffer.contents ibuf ^ ")" in
-        Buffer.add_string buf (get_var_exn t name)
-      | Compile.Cmd prog -> Buffer.add_string buf (exec_nested t prog))
-    parts
-
-(* A [script] command substitution: ok yields its value, anything else
-   aborts the enclosing command with that status. *)
-and exec_nested t prog =
-  match exec_program t prog with
-  | Tcl_ok, v -> v
-  | status, v -> raise (Propagate (status, v))
 
 (* ------------------------------------------------------------------ *)
 (* Bytecode VM executor.
 
-   Runs {!Vm.code} lowered from the compiled form. The contract is the
-   same as exec_program's: every status, value, errorInfo line, guard
-   delivery and command count must match the reference evaluator. Each
-   inlined structural opcode re-checks [vm_canon] and deopts to the
-   stored original command when set/if/while/... have been redefined. *)
+   Runs {!Vm.code} lowered from the compiled form; the only executor of
+   compiled scripts.  Mirrors eval_in / eval_loop / parse_and_run: every
+   status, value, errorInfo line, guard delivery, command count and
+   side-effect order must match the reference evaluator above.  Each
+   inlined structural opcode re-checks [vm_canon] and deopts to its
+   generic invoke when set/if/while/... have been redefined. *)
 
 and exec_vm t (want : wantv) (code : frame Vm.code) =
   if t.depth = 0 then begin
@@ -1922,21 +1766,55 @@ and eval_vcond t (e : frame Vm.vexpr) : bool =
   | Vm.Xunop ("!", x) -> not (eval_vcond t x)
   | e -> Expr.truthy (eval_vexpr t e)
 
+(* A [script] command substitution: ok yields its value, anything else
+   aborts the enclosing command with that status. *)
+and vcmd_value t code =
+  match exec_vm t Vstring code with
+  | Tcl_ok, v -> v
+  | status, v -> raise (Propagate (status, v))
+
 and vsubst_word t (w : frame Vm.vword) =
   match w with
   | Vm.Wlit tv -> Tval.to_string tv
   | Vm.Wvar r -> vref_get t r
-  | Vm.Wvcmd code -> (
-    match exec_vm t Vstring code with
-    | Tcl_ok, v -> v
-    | status, v -> raise (Propagate (status, v)))
+  | Vm.Wvcmd code -> vcmd_value t code
   | Vm.Wexpr { e; code; orig } ->
     if t.vm_canon then Expr.to_string (wexpr_val t e orig)
-    else (
-      match exec_vm t Vstring code with
-      | Tcl_ok, v -> v
-      | status, v -> raise (Propagate (status, v)))
-  | Vm.Wgen w -> subst_word t w
+    else vcmd_value t code
+  | Vm.Wparts [ Vm.Pelem (base, idx) ] -> get_var_exn t (velem_name t base idx)
+  | Vm.Wparts parts ->
+    let buf = Buffer.create 16 in
+    vsubst_parts t buf parts;
+    Buffer.contents buf
+  | Vm.Wfail (parts, msg) ->
+    (* Run the substitutions scanned before the syntax error (they may
+       have side effects or abort first), then report it. *)
+    vsubst_parts t (Buffer.create 16) parts;
+    raise (Tcl_failure msg)
+
+and vsubst_parts t buf (parts : frame Vm.vpart list) =
+  match parts with
+  | [] -> ()
+  | p :: rest ->
+    (match p with
+    | Vm.Plit s -> Buffer.add_string buf s
+    | Vm.Pvar r -> Buffer.add_string buf (vref_get t r)
+    | Vm.Pelem (base, idx) ->
+      Buffer.add_string buf (get_var_exn t (velem_name t base idx))
+    | Vm.Pcmd code -> Buffer.add_string buf (vcmd_value t code));
+    vsubst_parts t buf rest
+
+and velem_name t base (idx : frame Vm.vpart list) =
+  let i =
+    match idx with
+    | [ Vm.Pvar r ] -> vref_get t r
+    | [ Vm.Plit s ] -> s
+    | _ ->
+      let buf = Buffer.create 8 in
+      vsubst_parts t buf idx;
+      Buffer.contents buf
+  in
+  base ^ "(" ^ i ^ ")"
 
 (* Typed word substitution for command dispatch: every result is an
    OWNED Tval (fresh, or a copy whose reps are immutable), so binding
@@ -1954,10 +1832,7 @@ and vsubst_wordv t (w : frame Vm.vword) : Tval.t =
       match get_var t name with
       | Some v -> Tval.of_string v
       | None -> failf "can't read \"%s\": no such variable" name))
-  | Vm.Wvcmd code -> (
-    match exec_vm t Vstring code with
-    | Tcl_ok, v -> Tval.of_string v
-    | status, v -> raise (Propagate (status, v)))
+  | Vm.Wvcmd code -> Tval.of_string (vcmd_value t code)
   | Vm.Wexpr { e; code; orig } ->
     if t.vm_canon then (
       match e with
@@ -1977,11 +1852,8 @@ and vsubst_wordv t (w : frame Vm.vword) : Tval.t =
           | _ -> tval_of_value (wexpr_val t e orig))
         | exception Vm_unbound -> tval_of_value (wexpr_val t e orig))
       | _ -> tval_of_value (wexpr_val t e orig))
-    else (
-      match exec_vm t Vstring code with
-      | Tcl_ok, v -> Tval.of_string v
-      | status, v -> raise (Propagate (status, v)))
-  | Vm.Wgen w -> Tval.of_string (subst_word t w)
+    else Tval.of_string (vcmd_value t code)
+  | Vm.Wparts _ | Vm.Wfail _ -> Tval.of_string (vsubst_word t w)
 
 and tval_of_value (v : Expr.value) =
   match v with
@@ -2028,7 +1900,8 @@ and vsubst_wordsv t ws acc =
   | w :: rest -> vsubst_wordsv t rest (vsubst_wordv t w :: acc)
 
 (* A substitution failure before dispatch: errorInfo starts with the
-   bare message, exactly as exec_command's handler does. *)
+   bare message (parse_and_run's handler); the enclosing command adds
+   its own trace line. *)
 and subst_fail t msg =
   if not t.error_in_progress then begin
     t.error_in_progress <- true;
@@ -2036,13 +1909,9 @@ and subst_fail t msg =
   end;
   (Tcl_error, msg)
 
-and deopt t orig =
-  t.vm.v_deopts <- t.vm.v_deopts + 1;
-  exec_command t orig
-
 (* Run an inlined structural command with the same guard delivery,
    command accounting and error tracing a dispatched command gets from
-   invoke + exec_command. *)
+   an Ivk. *)
 and run_inline t ~text f =
   match if t.guard_active then guard_check t ~spend:true else None with
   | Some msg ->
@@ -2214,199 +2083,181 @@ and exec_vinsn t (want : wantv) (insn : frame Vm.insn) =
         trace_error t ~command:orig.Compile.text v;
         res
       | res -> res))
-  | Vm.Iset { dst; value; orig } ->
-    if not t.vm_canon then deopt t orig
-    else (
-      match value with
+  | ( Vm.Iset { slow; _ }
+    | Vm.Iincr { slow; _ }
+    | Vm.Iexpr { slow; _ }
+    | Vm.Iif { slow; _ }
+    | Vm.Iwhile { slow; _ }
+    | Vm.Ifor { slow; _ }
+    | Vm.Iforeach { slow; _ }
+    | Vm.Ireturn { slow; _ }
+    | Vm.Ibreak { slow }
+    | Vm.Icontinue { slow } )
+    when not t.vm_canon ->
+    (* The builtin may have been redefined: dispatch the command's words
+       like any other invoke. *)
+    t.vm.v_deopts <- t.vm.v_deopts + 1;
+    exec_vinsn t want (Lazy.force slow.Vm.ivk)
+  | Vm.Iset { dst; value; slow = { Vm.cmd = orig; _ } } -> (
+    match value with
+    | None -> (
+      match inline_gate t orig.Compile.text with
+      | Some msg -> (Tcl_error, msg)
       | None -> (
+        match vref_get t dst with
+        | v -> (Tcl_ok, v)
+        | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg))
+    | Some w -> (
+      match vsubst_word t w with
+      | exception Propagate (status, v) -> (status, v)
+      | exception Tcl_failure msg -> subst_fail t msg
+      | v -> (
         match inline_gate t orig.Compile.text with
         | Some msg -> (Tcl_error, msg)
         | None -> (
-          match vref_get t dst with
-          | v -> (Tcl_ok, v)
-          | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg))
-      | Some w -> (
-        match vsubst_word t w with
-        | exception Propagate (status, v) -> (status, v)
-        | exception Tcl_failure msg -> subst_fail t msg
-        | v -> (
-          match inline_gate t orig.Compile.text with
-          | Some msg -> (Tcl_error, msg)
-          | None -> (
-            match vref_set t dst v with
-            | () -> (Tcl_ok, v)
-            | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg))))
-  | Vm.Iincr { dst; by; orig } ->
-    if not t.vm_canon then deopt t orig
-    else (
-      match by with
-      | Vm.Aconst amount -> vm_incr t want dst amount orig
-      | Vm.Aword (Vm.Wvar r as w) -> (
-        (* Pull the increment straight from the variable's cached int
-           rep; parse_num is trim + int_of_string_opt, so a cell that
-           is not Nint is exactly one whose string form cmd_incr would
-           reject — fall through with that string.  An unbound var
-           takes the generic subst path to fail identically. *)
-        match vref_cell t r with
-        | cell -> (
-          match Tval.num cell with
-          | Tval.Nint amount -> vm_incr t want dst amount orig
-          | _ -> vm_incr_word t want dst (Tval.to_string cell) orig)
-        | exception Vm_unbound -> (
-          match vsubst_word t w with
-          | s -> vm_incr_word t want dst s orig
-          | exception Propagate (status, v) -> (status, v)
-          | exception Tcl_failure msg -> subst_fail t msg))
-      | Vm.Aword w -> (
+          match vref_set t dst v with
+          | () -> (Tcl_ok, v)
+          | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg))))
+  | Vm.Iincr { dst; by; slow = { Vm.cmd = orig; _ } } -> (
+    match by with
+    | Vm.Aconst amount -> vm_incr t want dst amount orig
+    | Vm.Aword (Vm.Wvar r as w) -> (
+      (* Pull the increment straight from the variable's cached int
+         rep; parse_num is trim + int_of_string_opt, so a cell that
+         is not Nint is exactly one whose string form cmd_incr would
+         reject — fall through with that string.  An unbound var
+         takes the generic subst path to fail identically. *)
+      match vref_cell t r with
+      | cell -> (
+        match Tval.num cell with
+        | Tval.Nint amount -> vm_incr t want dst amount orig
+        | _ -> vm_incr_word t want dst (Tval.to_string cell) orig)
+      | exception Vm_unbound -> (
         match vsubst_word t w with
         | s -> vm_incr_word t want dst s orig
         | exception Propagate (status, v) -> (status, v)
         | exception Tcl_failure msg -> subst_fail t msg))
-  | Vm.Iexpr { e; orig } ->
-    if not t.vm_canon then deopt t orig
-    else (
-      match inline_gate t orig.Compile.text with
-      | Some msg -> (Tcl_error, msg)
-      | None -> (
-        match eval_vexpr t e with
-        | v -> (
-          match want with
-          | Vdiscard -> (Tcl_ok, "")
-          | Vstring -> (Tcl_ok, Expr.to_string v)
-          | Vtyped -> (
-            (* Hand numeric values to the consuming expression via the
-               side channel; their rendering reparses to the same value,
-               so this elides operand_value∘to_string.  A Str result
-               could reparse differently, so it goes through strings. *)
-            match v with
-            | Expr.Int _ | Expr.Float _ ->
-              t.vm_xval <- Some v;
-              (Tcl_ok, "")
-            | Expr.Str _ -> (Tcl_ok, Expr.to_string v)))
-        | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg
-        | exception Expr.Error msg -> inline_fail t orig.Compile.text msg))
-  | Vm.Iif { arms; els; orig } ->
-    if not t.vm_canon then deopt t orig
-    else (
-      match inline_gate t orig.Compile.text with
-      | Some msg -> (Tcl_error, msg)
-      | None -> (
-        match vm_if_arms t want arms els with
-        | (Tcl_error, v) as res ->
-          trace_error t ~command:orig.Compile.text v;
-          res
-        | res -> res
-        | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg
-        | exception Expr.Error msg -> inline_fail t orig.Compile.text msg))
-  | Vm.Iwhile { cond; body; orig } ->
-    if not t.vm_canon then deopt t orig
-    else (
-      match inline_gate t orig.Compile.text with
-      | Some msg -> (Tcl_error, msg)
-      | None -> (
-        match vm_while_loop t cond body with
-        | (Tcl_error, v) as res ->
-          trace_error t ~command:orig.Compile.text v;
-          res
-        | res -> res
-        | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg
-        | exception Expr.Error msg -> inline_fail t orig.Compile.text msg))
-  | Vm.Ifor { init; cond; next; body; orig } ->
-    if not t.vm_canon then deopt t orig
-    else (
-      match inline_gate t orig.Compile.text with
-      | Some msg -> (Tcl_error, msg)
-      | None -> (
-        match
-          match exec_vm t Vdiscard init with
-          | (Tcl_error, _) as r -> r
-          | _ -> vm_for_loop t cond next body
-        with
-        | (Tcl_error, v) as res ->
-          trace_error t ~command:orig.Compile.text v;
-          res
-        | res -> res
-        | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg
-        | exception Expr.Error msg -> inline_fail t orig.Compile.text msg))
-  | Vm.Iforeach { dst; items; body; orig } ->
-    if not t.vm_canon then deopt t orig
-    else (
+    | Vm.Aword w -> (
+      match vsubst_word t w with
+      | s -> vm_incr_word t want dst s orig
+      | exception Propagate (status, v) -> (status, v)
+      | exception Tcl_failure msg -> subst_fail t msg))
+  | Vm.Iexpr { e; slow = { Vm.cmd = orig; _ } } -> (
+    match inline_gate t orig.Compile.text with
+    | Some msg -> (Tcl_error, msg)
+    | None -> (
+      match eval_vexpr t e with
+      | v -> (
+        match want with
+        | Vdiscard -> (Tcl_ok, "")
+        | Vstring -> (Tcl_ok, Expr.to_string v)
+        | Vtyped -> (
+          (* Hand numeric values to the consuming expression via the
+             side channel; their rendering reparses to the same value,
+             so this elides operand_value∘to_string.  A Str result
+             could reparse differently, so it goes through strings. *)
+          match v with
+          | Expr.Int _ | Expr.Float _ ->
+            t.vm_xval <- Some v;
+            (Tcl_ok, "")
+          | Expr.Str _ -> (Tcl_ok, Expr.to_string v)))
+      | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg
+      | exception Expr.Error msg -> inline_fail t orig.Compile.text msg))
+  | Vm.Iif { arms; els; slow = { Vm.cmd = orig; _ } } -> (
+    match inline_gate t orig.Compile.text with
+    | Some msg -> (Tcl_error, msg)
+    | None -> (
+      match vm_if_arms t want arms els with
+      | (Tcl_error, v) as res ->
+        trace_error t ~command:orig.Compile.text v;
+        res
+      | res -> res
+      | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg
+      | exception Expr.Error msg -> inline_fail t orig.Compile.text msg))
+  | Vm.Iwhile { cond; body; slow = { Vm.cmd = orig; _ } } -> (
+    match inline_gate t orig.Compile.text with
+    | Some msg -> (Tcl_error, msg)
+    | None -> (
+      match vm_while_loop t cond body with
+      | (Tcl_error, v) as res ->
+        trace_error t ~command:orig.Compile.text v;
+        res
+      | res -> res
+      | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg
+      | exception Expr.Error msg -> inline_fail t orig.Compile.text msg))
+  | Vm.Ifor { init; cond; next; body; slow = { Vm.cmd = orig; _ } } -> (
+    match inline_gate t orig.Compile.text with
+    | Some msg -> (Tcl_error, msg)
+    | None -> (
       match
-        match items with
-        | Vm.Lconst l -> `List l
-        | Vm.Lword w -> `Raw (vsubst_word t w)
+        match exec_vm t Vdiscard init with
+        | (Tcl_error, _) as r -> r
+        | _ -> vm_for_loop t cond next body
       with
+      | (Tcl_error, v) as res ->
+        trace_error t ~command:orig.Compile.text v;
+        res
+      | res -> res
+      | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg
+      | exception Expr.Error msg -> inline_fail t orig.Compile.text msg))
+  | Vm.Iforeach { dst; items; body; slow = { Vm.cmd = orig; _ } } -> (
+    match
+      match items with
+      | Vm.Lconst l -> `List l
+      | Vm.Lword w -> `Raw (vsubst_word t w)
+    with
+    | exception Propagate (status, v) -> (status, v)
+    | exception Tcl_failure msg -> subst_fail t msg
+    | items ->
+      run_inline t ~text:orig.Compile.text (fun () ->
+          match
+            match items with
+            | `List l -> Stdlib.Ok l
+            | `Raw s -> Tcl_list.parse s
+          with
+          | Stdlib.Error msg -> (Tcl_error, msg)
+          | Stdlib.Ok elements ->
+            let rec go = function
+              | [] -> (Tcl_ok, "")
+              | e :: rest -> (
+                vref_set t dst e;
+                match exec_vm t Vdiscard body with
+                | (Tcl_ok, _) | (Tcl_continue, _) -> go rest
+                | Tcl_break, _ -> (Tcl_ok, "")
+                | res -> res)
+            in
+            go elements))
+  | Vm.Ireturn { value; slow = { Vm.cmd = orig; _ } } -> (
+    match value with
+    | None -> (
+      match inline_gate t orig.Compile.text with
+      | Some msg -> (Tcl_error, msg)
+      | None -> (Tcl_return, ""))
+    | Some w -> (
+      match vsubst_word t w with
       | exception Propagate (status, v) -> (status, v)
       | exception Tcl_failure msg -> subst_fail t msg
-      | items ->
-        run_inline t ~text:orig.Compile.text (fun () ->
-            match
-              match items with
-              | `List l -> Stdlib.Ok l
-              | `Raw s -> Tcl_list.parse s
-            with
-            | Stdlib.Error msg -> (Tcl_error, msg)
-            | Stdlib.Ok elements ->
-              let rec go = function
-                | [] -> (Tcl_ok, "")
-                | e :: rest -> (
-                  vref_set t dst e;
-                  match exec_vm t Vdiscard body with
-                  | (Tcl_ok, _) | (Tcl_continue, _) -> go rest
-                  | Tcl_break, _ -> (Tcl_ok, "")
-                  | res -> res)
-              in
-              go elements))
-  | Vm.Ireturn { value; orig } ->
-    if not t.vm_canon then deopt t orig
-    else (
-      match value with
-      | None -> (
+      | v -> (
         match inline_gate t orig.Compile.text with
         | Some msg -> (Tcl_error, msg)
-        | None -> (Tcl_return, ""))
-      | Some w -> (
-        match vsubst_word t w with
-        | exception Propagate (status, v) -> (status, v)
-        | exception Tcl_failure msg -> subst_fail t msg
-        | v -> (
-          match inline_gate t orig.Compile.text with
-          | Some msg -> (Tcl_error, msg)
-          | None -> (Tcl_return, v))))
-  | Vm.Ibreak { orig } ->
-    if not t.vm_canon then deopt t orig
-    else run_inline t ~text:orig.Compile.text (fun () -> (Tcl_break, ""))
-  | Vm.Icontinue { orig } ->
-    if not t.vm_canon then deopt t orig
-    else run_inline t ~text:orig.Compile.text (fun () -> (Tcl_continue, ""))
+        | None -> (Tcl_return, v))))
+  | Vm.Ibreak { slow = { Vm.cmd = orig; _ } } ->
+    run_inline t ~text:orig.Compile.text (fun () -> (Tcl_break, ""))
+  | Vm.Icontinue { slow = { Vm.cmd = orig; _ } } ->
+    run_inline t ~text:orig.Compile.text (fun () -> (Tcl_continue, ""))
 
-(* Lowered code for a procedure body, built on first VM call and cached
-   on the proc record (a redefinition installs a fresh record). *)
-and proc_vm_code t name p =
+(* Lowered code for a procedure body, built on first call and cached on
+   the proc record (a redefinition installs a fresh record). *)
+and proc_vm_code t p =
   match p.pvm with
   | Some code -> code
   | None ->
-    let pcode =
-      match p.pcode with
-      | Some code -> code
-      | None ->
-        let code = compile_counted t p.body in
-        p.pcode <- Some code;
-        code
-    in
-    let seed =
-      match Hashtbl.find_opt t.kind_seeds name with
-      | Some facts -> facts
-      | None -> []
-    in
     let code =
-      Vm.lower_proc ~seed
-        ~compile:(fun s -> compile_counted t s)
+      Vm.lower_proc ~compile:(compile_counted t)
         ~formals:(List.map fst p.formals)
-        pcode
+        (compile_counted t p.body)
     in
     t.vm.v_compiled <- t.vm.v_compiled + 1;
-    if seed <> [] then t.vm.v_seeded <- t.vm.v_seeded + 1;
     p.pvm <- Some code;
     code
 
@@ -2467,17 +2318,12 @@ and invoke_vm_missing t name (words : Tval.t list) =
 and dispatch_vm t want name d words =
   match d with
   | Builtin cmd -> run_builtin t cmd (List.map Tval.to_string words)
-  | Proc p ->
-    if t.compile_enabled && t.vm_enabled && t.vm_canon then
-      call_proc_vm t want name p (List.tl words)
-    else call_proc_ref t name p (List.map Tval.to_string words)
+  | Proc p -> call_proc_vm t want name p (List.tl words)
 
 and dispatch_vm1 t want name d (v1 : Tval.t) =
   match d with
-  | Proc p when t.compile_enabled && t.vm_enabled && t.vm_canon ->
-    call_proc_vm1 t want name p v1
   | Builtin cmd -> run_builtin t cmd [ name; Tval.to_string v1 ]
-  | Proc p -> call_proc_ref t name p [ name; Tval.to_string v1 ]
+  | Proc p -> call_proc_vm1 t want name p v1
 
 (* Formals usually have slots; one that missed (paren name, slot
    table full) binds in the hashtable like the reference does. *)
@@ -2515,36 +2361,7 @@ and vm_take_frame p (code : frame Vm.code) =
     f
   | _ -> vm_frame code.Vm.locals
 
-(* Prime the dual-ported reps of bound arguments whose slots the
-   analyzer proved always hold an integer, float or list: parsing the
-   rep now (it would be parsed on first use anyway) lets the proc's
-   first execution run on the typed fast paths instead of shimmering
-   through strings.  Always semantically safe — priming only parses
-   earlier, never changes a value. *)
-and vm_prime_kinds t (code : frame Vm.code) frame =
-  let kinds = code.Vm.kinds in
-  for i = 0 to Array.length kinds - 1 do
-    match kinds.(i) with
-    | None -> ()
-    | Some k -> (
-      match frame.lcells.(i) with
-      | None -> ()
-      | Some v -> (
-        match k with
-        | Vm.Kint | Vm.Kfloat ->
-          if v.Tval.n = Tval.Nmaybe then begin
-            ignore (Tval.num v);
-            t.vm.v_seed_primed <- t.vm.v_seed_primed + 1
-          end
-        | Vm.Klist ->
-          if v.Tval.l = None then begin
-            ignore (Tval.list v);
-            t.vm.v_seed_primed <- t.vm.v_seed_primed + 1
-          end))
-  done
-
 and run_proc_frame t want name p (code : frame Vm.code) frame =
-  if Array.length code.Vm.kinds > 0 then vm_prime_kinds t code frame;
   t.stack <- frame :: t.stack;
   match exec_vm t want code with
   | res ->
@@ -2562,7 +2379,7 @@ and run_proc_frame t want name p (code : frame Vm.code) frame =
     raise e
 
 and call_proc_vm t want name p (actuals : Tval.t list) =
-  let code = proc_vm_code t name p in
+  let code = proc_vm_code t p in
   let frame = vm_take_frame p code in
   match vm_bind_formals frame name p.formals actuals with
   | Some msg -> (Tcl_error, msg)
@@ -2573,7 +2390,7 @@ and call_proc_vm t want name p (actuals : Tval.t list) =
 and call_proc_vm1 t want name p (v1 : Tval.t) =
   match p.formals with
   | [ (formal, _) ] when not (String.equal formal "args") ->
-    let code = proc_vm_code t name p in
+    let code = proc_vm_code t p in
     let frame = vm_take_frame p code in
     vm_set_slot frame formal v1;
     run_proc_frame t want name p code frame
@@ -2588,19 +2405,7 @@ and finish_proc name ((status, v) as res) =
   | Tcl_error -> (Tcl_error, Printf.sprintf "%s\n    (procedure \"%s\")" v name)
 
 let eval t src =
-  if t.compile_enabled then begin
-    let e = script_entry_for t src in
-    if t.vm_enabled && t.vm_canon then
-      exec_vm t Vstring
-        (match e.s_vm with
-        | Some code -> code
-        | None ->
-          let code = Vm.lower ~compile:(fun s -> compile_counted t s) e.code in
-          t.vm.v_compiled <- t.vm.v_compiled + 1;
-          e.s_vm <- Some code;
-          code)
-    else exec_program t e.code
-  end
+  if t.compile_enabled then exec_vm t Vstring (script_entry_for t src).s_code
   else begin
     t.stats.parse_passes <- t.stats.parse_passes + 1;
     let status, v, _ = eval_in t src 0 ~bracket:false in

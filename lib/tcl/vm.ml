@@ -9,13 +9,17 @@
    command name at the exact arity, braced bodies, parseable
    conditions — and lowered to dedicated opcodes; everything else (and
    every irregular form) stays an [Ivk] that substitutes its words and
-   goes through ordinary command dispatch.
+   goes through ordinary command dispatch.  Lowering is total: every
+   word, including multi-part words and embedded syntax errors, becomes
+   a VM word, so lowered code never refers back to the compiled form.
 
    Lowering never consults the command table, so the result can be
    cached like compiled programs; whether the inlined opcodes may
    actually bypass dispatch is the *executor's* decision (the
    interpreter tracks whether the ten structural builtins are still
-   canonical, and deopts to the stored original command otherwise).
+   canonical).  Each structural opcode carries its own generic [Ivk]
+   form, lowered lazily on first use, which the executor dispatches
+   instead when the builtins are not canonical.
    The executor lives in {!Interp}; the types are parametric over the
    frame representation ['f] to keep this module free of interpreter
    internals. *)
@@ -29,50 +33,47 @@ type 'f vref =
   | Rslot of int * string  (** procedure local: slot index + name *)
   | Rname of string * 'f cache  (** by-name with inline cache *)
 
-(* Value-kind facts the static analyzer (Lint/Absint) can attach to a
-   procedure's formal slots: every value ever bound to the slot is known
-   to be of this kind, so the executor may prime the matching Tval rep
-   at bind time and the first execution never shimmers. *)
-type kind = Kint | Kfloat | Klist
-
 type 'f code = {
   insns : 'f insn array;
   locals : string array;
       (** slot names for the frame this code runs in ([||] for nested
           and top-level code: nested code shares the enclosing frame) *)
-  kinds : kind option array;
-      (** analyzer-proven value kinds per local slot ([||] when no seed
-          was supplied); same length as [locals] otherwise *)
 }
 
 and 'f insn =
   | Ivk of { vwords : 'f vword list; orig : Compile.command }
       (** substitute the words, dispatch normally *)
-  | Iset of { dst : 'f vref; value : 'f vword option; orig : Compile.command }
-  | Iincr of { dst : 'f vref; by : 'f amount; orig : Compile.command }
-  | Iexpr of { e : 'f vexpr; orig : Compile.command }
+  | Iset of { dst : 'f vref; value : 'f vword option; slow : 'f slow }
+  | Iincr of { dst : 'f vref; by : 'f amount; slow : 'f slow }
+  | Iexpr of { e : 'f vexpr; slow : 'f slow }
   | Iif of {
       arms : ('f vexpr * 'f code) list;
       els : 'f code option;
-      orig : Compile.command;
+      slow : 'f slow;
     }
-  | Iwhile of { cond : 'f vexpr; body : 'f code; orig : Compile.command }
+  | Iwhile of { cond : 'f vexpr; body : 'f code; slow : 'f slow }
   | Ifor of {
       init : 'f code;
       cond : 'f vexpr;
       next : 'f code;
       body : 'f code;
-      orig : Compile.command;
+      slow : 'f slow;
     }
   | Iforeach of {
       dst : 'f vref;
       items : 'f items;
       body : 'f code;
-      orig : Compile.command;
+      slow : 'f slow;
     }
-  | Ireturn of { value : 'f vword option; orig : Compile.command }
-  | Ibreak of { orig : Compile.command }
-  | Icontinue of { orig : Compile.command }
+  | Ireturn of { value : 'f vword option; slow : 'f slow }
+  | Ibreak of { slow : 'f slow }
+  | Icontinue of { slow : 'f slow }
+
+(* A structural opcode's source command and its generic [Ivk] form: the
+   executor traces errors with [cmd]'s text, and dispatches [ivk] instead
+   of the inlined opcode when the builtins are not canonical.  [ivk] is
+   lowered on first use — most code never needs it. *)
+and 'f slow = { cmd : Compile.command; ivk : 'f insn Lazy.t }
 
 and 'f amount = Aconst of int | Aword of 'f vword
 
@@ -88,7 +89,17 @@ and 'f vword =
       (** a whole-word [\[expr ...\]] whose script is a single canonical
           expr command: the executor may evaluate [e] directly (typed,
           no string round-trip), falling back to [code] on deopt *)
-  | Wgen of Compile.word  (** general multi-part word: executor replays it *)
+  | Wparts of 'f vpart list  (** concatenation of substituted parts *)
+  | Wfail of 'f vpart list * string
+      (** a syntax error found mid-word: substitute the parts for their
+          side effects, then fail with the parser's message *)
+
+and 'f vpart =
+  | Plit of string
+  | Pvar of 'f vref
+  | Pelem of string * 'f vpart list
+      (** [$base(index)]: array element named by a substituted index *)
+  | Pcmd of 'f code
 
 and 'f qpart = Ql of string | Qv of string | Qc of 'f code
 
@@ -139,6 +150,11 @@ let ref_of st name =
       end
       else Rname (name, ref None)
 
+(* The commands [lower_named] turns into dedicated opcodes. *)
+let inline_names =
+  [ "set"; "incr"; "expr"; "if"; "while"; "for"; "foreach"; "return";
+    "break"; "continue" ]
+
 let lit = function Compile.W_lit s -> Some s | _ -> None
 
 let all_lits words =
@@ -161,39 +177,60 @@ let rec lower_word st (w : Compile.word) =
   | Compile.W_parts [ Compile.Cmd prog ] -> (
     let code = lower_prog st prog in
     match code.insns with
-    | [| Iexpr { e; orig } |] -> Wexpr { e; code; orig }
+    | [| Iexpr { e; slow } |] -> Wexpr { e; code; orig = slow.cmd }
     | _ -> Wvcmd code)
-  | Compile.W_parts _ | Compile.W_fail _ -> Wgen w
+  | Compile.W_parts parts -> Wparts (lower_parts st parts)
+  | Compile.W_fail (parts, msg) -> Wfail (lower_parts st parts, msg)
+
+and lower_parts st parts =
+  List.map
+    (fun (p : Compile.part) ->
+      match p with
+      | Compile.Lit s -> Plit s
+      | Compile.Var name -> Pvar (ref_of st name)
+      | Compile.Var_idx (base, idx) -> Pelem (base, lower_parts st idx)
+      | Compile.Cmd prog -> Pcmd (lower_prog st prog))
+    parts
 
 and lower_prog st (prog : Compile.program) =
-  {
-    insns = Array.of_list (List.map (lower_command st) prog);
-    locals = [||];
-    kinds = [||];
-  }
+  { insns = Array.of_list (List.map (lower_command st) prog); locals = [||] }
 
 and lower_body st src = lower_prog st (st.compile src)
 
 and lower_command st (c : Compile.command) =
   match c.words with
   | Compile.W_lit name :: rest -> lower_named st c name rest
-  | _ -> Ivk { vwords = List.map (lower_word st) c.words; orig = c }
+  | _ -> lower_ivk st c
 
+and lower_ivk st c = Ivk { vwords = List.map (lower_word st) c.words; orig = c }
+
+(* The generic form of a structural command, for when the builtins are
+   not canonical.  Slots are all claimed by the time it is forced, so it
+   only reads them. *)
+and slow_of st c =
+  { cmd = c; ivk = lazy (lower_ivk { st with alloc = false } c) }
+
+(* The cases here are the commands listed in [inline_names]. *)
 and lower_named st c name rest =
-  let ivk () = Ivk { vwords = List.map (lower_word st) c.words; orig = c } in
+  let ivk () = lower_ivk st c in
   match (name, rest) with
   | "set", [ n ] -> (
     match lit n with
-    | Some n -> Iset { dst = ref_of st n; value = None; orig = c }
+    | Some n -> Iset { dst = ref_of st n; value = None; slow = slow_of st c }
     | None -> ivk ())
   | "set", [ n; v ] -> (
     match lit n with
     | Some n ->
-      Iset { dst = ref_of st n; value = Some (lower_word st v); orig = c }
+      Iset
+        {
+          dst = ref_of st n;
+          value = Some (lower_word st v);
+          slow = slow_of st c;
+        }
     | None -> ivk ())
   | "incr", [ n ] -> (
     match lit n with
-    | Some n -> Iincr { dst = ref_of st n; by = Aconst 1; orig = c }
+    | Some n -> Iincr { dst = ref_of st n; by = Aconst 1; slow = slow_of st c }
     | None -> ivk ())
   | "incr", [ n; b ] -> (
     match lit n with
@@ -209,24 +246,29 @@ and lower_named st c name rest =
           | None -> Aword (Wlit (Tval.of_string s)))
         | None -> Aword (lower_word st b)
       in
-      Iincr { dst = ref_of st n; by; orig = c })
+      Iincr { dst = ref_of st n; by; slow = slow_of st c })
   | "expr", _ :: _ -> (
     match all_lits rest with
     | Some args -> (
       match Expr.parse (String.concat " " args) with
-      | Stdlib.Ok ast -> Iexpr { e = lower_ast st ast; orig = c }
+      | Stdlib.Ok ast -> Iexpr { e = lower_ast st ast; slow = slow_of st c }
       | Stdlib.Error _ -> ivk ())
     | None -> ivk ())
   | "if", _ -> (
     match all_lits rest with
-    | Some ws -> lower_if st c ws ivk
+    | Some ws -> lower_if st (slow_of st c) ws ivk
     | None -> ivk ())
   | "while", [ cond; body ] -> (
     match (lit cond, lit body) with
     | Some cond, Some body -> (
       match Expr.parse cond with
       | Stdlib.Ok ast ->
-        Iwhile { cond = lower_ast st ast; body = lower_body st body; orig = c }
+        Iwhile
+          {
+            cond = lower_ast st ast;
+            body = lower_body st body;
+            slow = slow_of st c;
+          }
       | Stdlib.Error _ -> ivk ())
     | _ -> ivk ())
   | "for", [ init; cond; next; body ] -> (
@@ -240,7 +282,7 @@ and lower_named st c name rest =
             cond = lower_ast st ast;
             next = lower_body st next;
             body = lower_body st body;
-            orig = c;
+            slow = slow_of st c;
           }
       | Stdlib.Error _ -> ivk ())
     | _ -> ivk ())
@@ -259,19 +301,26 @@ and lower_named st c name rest =
       in
       match items with
       | Some items ->
-        Iforeach { dst = ref_of st var; items; body = lower_body st body; orig = c }
+        Iforeach
+          {
+            dst = ref_of st var;
+            items;
+            body = lower_body st body;
+            slow = slow_of st c;
+          }
       | None -> ivk ())
     | _ -> ivk ())
-  | "return", [] -> Ireturn { value = None; orig = c }
-  | "return", [ v ] -> Ireturn { value = Some (lower_word st v); orig = c }
-  | "break", [] -> Ibreak { orig = c }
-  | "continue", [] -> Icontinue { orig = c }
+  | "return", [] -> Ireturn { value = None; slow = slow_of st c }
+  | "return", [ v ] ->
+    Ireturn { value = Some (lower_word st v); slow = slow_of st c }
+  | "break", [] -> Ibreak { slow = slow_of st c }
+  | "continue", [] -> Icontinue { slow = slow_of st c }
   | _ -> ivk ()
 
 (* Mirror cmd_if's clause/tail grammar statically; any irregularity
    (missing body, unparseable condition, trailing words) falls back to
    the dispatched command, which reproduces the runtime error. *)
-and lower_if st c ws ivk =
+and lower_if st slow ws ivk =
   let rec clause ws acc =
     match ws with
     | cond :: rest -> (
@@ -292,7 +341,7 @@ and lower_if st c ws ivk =
     | _ -> None
   in
   match clause ws [] with
-  | Some (arms, els) -> Iif { arms; els; orig = c }
+  | Some (arms, els) -> Iif { arms; els; slow }
   | None -> ivk ()
 
 and lower_ast st (a : Expr.ast) =
@@ -320,7 +369,7 @@ let lower ~compile prog =
   in
   lower_prog st prog
 
-let lower_proc ?(seed = []) ~compile ~formals prog =
+let lower_proc ~compile ~formals prog =
   let st =
     { compile; alloc = true; tbl = Hashtbl.create 8; names = []; count = 0 }
   in
@@ -337,9 +386,4 @@ let lower_proc ?(seed = []) ~compile ~formals prog =
       end)
     formals;
   let code = lower_prog st prog in
-  let locals = Array.of_list (List.rev st.names) in
-  let kinds =
-    if seed = [] then [||]
-    else Array.map (fun name -> List.assoc_opt name seed) locals
-  in
-  { code with locals; kinds }
+  { code with locals = Array.of_list (List.rev st.names) }

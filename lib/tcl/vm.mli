@@ -6,11 +6,13 @@
     references and typed expressions. Lowering is purely syntactic —
     it reads no variables and consults no command table — so lowered
     code can be cached alongside the compiled form and never goes
-    stale; whether the inlined structural opcodes may bypass command
-    dispatch is decided at execution time by the interpreter (which
-    deopts per instruction to the stored original {!Compile.command}
+    stale.  It is also total: every word of every command becomes a VM
+    word, so the interpreter runs all compiled code on this VM.  Whether
+    the inlined structural opcodes may bypass command dispatch is
+    decided at execution time by the interpreter, which deopts per
+    instruction to the opcode's generic {!insn.Ivk} form (see {!slow})
     when [set]/[if]/[while]/... have been redefined, renamed or
-    hidden).
+    hidden.
 
     All types are parametric over the frame representation ['f]: the
     executor lives in {!Interp}, which instantiates ['f] with its
@@ -23,49 +25,45 @@ type 'f vref =
   | Rslot of int * string  (** procedure local: slot index + name *)
   | Rname of string * 'f cache  (** by-name lookup with inline cache *)
 
-type kind = Kint | Kfloat | Klist
-(** A value-kind fact the static analyzer ({!Lint}/{!Absint}) can prove
-    about a procedure's formal slot: every value bound there is of this
-    kind, so the executor may prime the matching {!Tval} rep at bind
-    time (always semantically safe — priming only parses earlier). *)
-
 type 'f code = {
   insns : 'f insn array;
   locals : string array;
       (** slot names for the frame this code runs in ([||] for nested
           and top-level code, which share the enclosing frame) *)
-  kinds : kind option array;
-      (** analyzer-proven value kinds per local slot ([||] when no seed
-          was supplied; same length as [locals] otherwise) *)
 }
 
 and 'f insn =
   | Ivk of { vwords : 'f vword list; orig : Compile.command }
-  | Iset of { dst : 'f vref; value : 'f vword option; orig : Compile.command }
-  | Iincr of { dst : 'f vref; by : 'f amount; orig : Compile.command }
-  | Iexpr of { e : 'f vexpr; orig : Compile.command }
+  | Iset of { dst : 'f vref; value : 'f vword option; slow : 'f slow }
+  | Iincr of { dst : 'f vref; by : 'f amount; slow : 'f slow }
+  | Iexpr of { e : 'f vexpr; slow : 'f slow }
   | Iif of {
       arms : ('f vexpr * 'f code) list;
       els : 'f code option;
-      orig : Compile.command;
+      slow : 'f slow;
     }
-  | Iwhile of { cond : 'f vexpr; body : 'f code; orig : Compile.command }
+  | Iwhile of { cond : 'f vexpr; body : 'f code; slow : 'f slow }
   | Ifor of {
       init : 'f code;
       cond : 'f vexpr;
       next : 'f code;
       body : 'f code;
-      orig : Compile.command;
+      slow : 'f slow;
     }
   | Iforeach of {
       dst : 'f vref;
       items : 'f items;
       body : 'f code;
-      orig : Compile.command;
+      slow : 'f slow;
     }
-  | Ireturn of { value : 'f vword option; orig : Compile.command }
-  | Ibreak of { orig : Compile.command }
-  | Icontinue of { orig : Compile.command }
+  | Ireturn of { value : 'f vword option; slow : 'f slow }
+  | Ibreak of { slow : 'f slow }
+  | Icontinue of { slow : 'f slow }
+
+and 'f slow = { cmd : Compile.command; ivk : 'f insn Lazy.t }
+(** A structural opcode's source command (its text goes into errorInfo
+    traces) and the generic [Ivk] for it, lowered on first force: the
+    deopt path when the structural builtins are not canonical. *)
 
 and 'f amount = Aconst of int | Aword of 'f vword
 
@@ -80,7 +78,17 @@ and 'f vword =
   | Wexpr of { e : 'f vexpr; code : 'f code; orig : Compile.command }
       (** whole-word [\[expr ...\]] with a single canonical expr
           command: evaluated typed, deopting to [code] *)
-  | Wgen of Compile.word
+  | Wparts of 'f vpart list  (** concatenation of substituted parts *)
+  | Wfail of 'f vpart list * string
+      (** syntax error found mid-word: substitute the parts for their
+          side effects, then fail with the parser's message *)
+
+and 'f vpart =
+  | Plit of string
+  | Pvar of 'f vref
+  | Pelem of string * 'f vpart list
+      (** [$base(index)]: array element named by a substituted index *)
+  | Pcmd of 'f code
 
 and 'f qpart = Ql of string | Qv of string | Qc of 'f code
 
@@ -94,6 +102,11 @@ and 'f vexpr =
   | Xternary of 'f vexpr * 'f vexpr * 'f vexpr
   | Xfunc of string * 'f vexpr list
 
+val inline_names : string list
+(** The structural commands lowered to dedicated opcodes.  The executor
+    inlines them only while every one of them is still the builtin
+    definition snapshotted by {!Interp.mark_canonical}. *)
+
 val lower : compile:(string -> Compile.program) -> Compile.program -> 'f code
 (** Lower a top-level script. All variable references resolve by name
     (with inline caches); [locals] is [[||]]. [compile] is used for
@@ -101,7 +114,6 @@ val lower : compile:(string -> Compile.program) -> Compile.program -> 'f code
     expressions. *)
 
 val lower_proc :
-  ?seed:(string * kind) list ->
   compile:(string -> Compile.program) ->
   formals:string list ->
   Compile.program ->
@@ -109,7 +121,4 @@ val lower_proc :
 (** Lower a procedure body. Formals claim the first local slots, and
     literal [set]/[incr]/[foreach] targets (and [$x] reads) claim
     further ones as they appear, up to a small bound; the executor
-    builds the call frame from [locals]. [seed] attaches analyzer-proven
-    value kinds to the named slots ({!kind}); the executor uses them to
-    prime bound arguments' numeric/list reps so canonical procedures
-    skip first-execution shimmering. *)
+    builds the call frame from [locals]. *)

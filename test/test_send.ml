@@ -238,6 +238,20 @@ let churn_tests =
         check_string "first keeps the name" "twin" a.Tk.Core.app_name;
         check_string "second is suffixed" "twin #2" b.Tk.Core.app_name;
         check_string "third is suffixed" "twin #3" c.Tk.Core.app_name );
+    ( "destroying the last app on a display forgets the display",
+      fun () ->
+        let baseline = Tk.Core.registered_displays () in
+        for i = 1 to 20 do
+          let server = Server.create () in
+          let app = new_app ~server ~name:(Printf.sprintf "once%d" i) () in
+          Tk.Core.destroy_app app;
+          (* Lookups on a forgotten display must not re-create it. *)
+          ignore (Tk.Core.local_apps server);
+          ignore (Tk.Core.app_of_comm server app.Tk.Core.comm_win)
+        done;
+        Alcotest.(check int)
+          "registry length back at baseline" baseline
+          (Tk.Core.registered_displays ()) );
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -1,13 +1,15 @@
-(* Tests for the bytecode VM (PR8): every observable of a script run
-   must be byte-identical across the three execution tiers — the
-   reference character-at-a-time evaluator, the compiled tree-walking
-   executor, and the bytecode VM.  We compare status, result value,
-   errorInfo and the executed-command count; the corpus leans on the
-   VM's sharp edges (dual-ported values and %.12g float rendering, slot
-   versus hash variable access, inline-cached dispatch, deopt when a
-   core builtin is shadowed) plus PR 7's recursionlimit / resource-limit
-   / cancellation messages.  The counters section checks the tcl.vm.*
-   metrics the ablation reports. *)
+(* Tests for the bytecode VM: every observable of a script run must be
+   byte-identical across three execution tiers — the reference
+   character-at-a-time evaluator, the bytecode VM, and the same VM with
+   every inlined structural opcode deopted (the structural builtins are
+   re-registered, so they are no longer the canonical definitions and
+   each opcode dispatches its generic invoke instead).  We compare
+   status, result value, errorInfo and the executed-command count; the
+   corpus leans on the VM's sharp edges (dual-ported values and %.12g
+   float rendering, slot versus hash variable access, inline-cached
+   dispatch, multi-part words, deopt when a core builtin is shadowed)
+   plus the recursionlimit / resource-limit / cancellation messages.
+   The counters section checks the tcl.vm.* metrics. *)
 
 open Xsim
 
@@ -15,19 +17,22 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-type mode = Reference | Treewalk | Vm
+type mode = Reference | Vm | Deopt
 
 let mode_name = function
   | Reference -> "reference"
-  | Treewalk -> "treewalk"
   | Vm -> "vm"
+  | Deopt -> "deopt"
 
 let new_interp mode =
   let tcl = Tcl.Builtins.new_interp () in
   (match mode with
   | Reference -> Tcl.Interp.set_compile_enabled tcl false
-  | Treewalk -> Tcl.Interp.set_vm_enabled tcl false
-  | Vm -> ());
+  | Vm -> ()
+  | Deopt ->
+    (* Same command procedures, fresh definitions: no longer the ones
+       snapshotted as canonical. *)
+    Tcl.Cmd_control.install tcl);
   tcl
 
 let status_name = function
@@ -47,14 +52,14 @@ let observe mode script =
   let tcl = new_interp mode in
   observation tcl (Tcl.Interp.eval tcl script)
 
-(* The reference evaluator is the oracle; both compiled tiers must
-   reproduce it byte for byte. *)
+(* The reference evaluator is the oracle; the VM must reproduce it byte
+   for byte both with its structural opcodes inlined and deopted. *)
 let differential script () =
   let oracle = observe Reference script in
   check_string (Printf.sprintf "vm: %s" script) oracle (observe Vm script);
   check_string
-    (Printf.sprintf "treewalk: %s" script)
-    oracle (observe Treewalk script)
+    (Printf.sprintf "deopt: %s" script)
+    oracle (observe Deopt script)
 
 let differential_scripts =
   [
@@ -125,6 +130,39 @@ let differential_scripts =
     "interp recursionlimit 20; proc down {n} {if {$n == 0} {return done}; \
      down [expr {$n - 1}]}; set a [catch {down 100}]; interp recursionlimit \
      400; list $a [down 100]";
+    (* a top-level script whose first lowering happens while [set] or
+       [if] is shadowed, so it is never canonical *)
+    "rename set set_orig; proc set {args} {uplevel [linsert $args 0 \
+     set_orig]}; eval {set a 1; if {$a} {set b [expr {$a + 1}]}; \
+     foreach i {1 2} {set c$i $i}; list $a $b $c2}";
+    "rename if if_orig; proc if {c b} {uplevel [list if_orig $c $b]}; eval \
+     {set n 0; while {$n < 3} {incr n; if {$n == 2} {set hit $n}}; \
+     list $n $hit}";
+    (* [...] inside multi-part words, at top level and in proc slots *)
+    "set x 0; set s \"a[incr x]b\"; list $s $x";
+    "set i 0; set arr(1) one; set arr(2) two; list $arr([incr i]) \
+     $arr([incr i]) $i";
+    "set n 0; set a(k[incr n]) 1; set a(k[incr n]) 2; list [lsort [array \
+     names a]] $n";
+    "proc f {i} {set a(k$i) v$i; set s \"<$a(k$i)>[incr i]$i\"; list $s \
+     $a(k[expr {$i - 1}])}; f 3";
+    "set x 0; list \"[incr x]-[incr x]\" $x [catch {set y \"a[error \
+     inner]b\"} m] $m";
+    (* a syntax error after a side-effecting substitution: the
+       substitution still runs before the error is reported *)
+    "set n 0; catch {set x \"[incr n]}; set n";
+    "set n 0; set x \"[incr n]";
+    "proc f {} {set n 0; catch {set x a$n(\"[incr n]}; set n}; f";
+    (* a mid-loop shadow whose deopted commands have nested
+       substitutions *)
+    "set n 0; set log {}; while {$n < 5} {incr n; set log \"$log [expr {$n \
+     * 2}]-[string length $log]\"; if {$n == 2} {rename set set_orig; proc \
+     set {v args} {uplevel [linsert $args 0 set_orig $v]}}}; rename set {}; \
+     rename set_orig set; list $n $log";
+    "proc p {} {set n 0; set s {}; while {$n < 4} {incr n; set s \
+     \"$s[incr n 0]x${n}:[string length $s]\"; if {$n == 2} {rename incr \
+     incr_orig; proc incr {v {by 1}} {upvar $v x; incr_orig x $by}}}; \
+     list $n $s}; set r [p]; rename incr {}; rename incr_orig incr; set r";
   ]
 
 let differential_tests =
@@ -190,7 +228,7 @@ let guard_differential label observe_fn expect_msg () =
       check_string
         (Printf.sprintf "%s: %s" label (mode_name mode))
         oracle (observe_fn mode))
-    [ Treewalk; Vm ]
+    [ Vm; Deopt ]
 
 let guard_tests =
   [
@@ -209,8 +247,7 @@ let guard_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* tcl.vm.* counters: lowering, slot hits, deopt accounting, and the
-   enable switch. *)
+(* tcl.vm.* counters: lowering, slot hits and deopt accounting. *)
 
 let vm_stat tcl key =
   match List.assoc_opt key (Tcl.Interp.vm_stats tcl) with
@@ -237,16 +274,20 @@ let counter_tests =
               set i");
         check_bool "programs were lowered" true (vm_stat_int tcl "compiled" > 0);
         check_bool "slot hits dominate" true
-          (vm_stat_int tcl "slot_hits" > 100);
-        check_string "vm reports enabled" "1" (vm_stat tcl "enabled") );
-    ( "vm off runs the tree-walker and keeps counters at zero",
+          (vm_stat_int tcl "slot_hits" > 100) );
+    ( "non-canonical builtins still run lowered code, deopting per opcode",
       fun () ->
-        let tcl = new_interp Treewalk in
+        let tcl = new_interp Deopt in
         check_string "loop still works" "100"
           (run tcl "set i 0; while {$i < 100} {incr i}; set i");
-        check_int "nothing lowered" 0 (vm_stat_int tcl "compiled");
-        check_int "no slot traffic" 0 (vm_stat_int tcl "slot_hits");
-        check_string "vm reports disabled" "0" (vm_stat tcl "enabled") );
+        check_string "re-registered builtins are not canonical" "0"
+          (vm_stat tcl "canonical");
+        check_bool "the script was lowered" true
+          (vm_stat_int tcl "compiled" > 0);
+        (* The while opcode deopts once; its body and condition run
+           through the command, as re-entered scripts. *)
+        check_bool "structural opcodes deopted" true
+          (vm_stat_int tcl "deopts" > 100) );
     ( "shadowing a core builtin flips canonical off and counts deopts",
       fun () ->
         let tcl = new_interp Vm in
@@ -305,8 +346,8 @@ let metrics_tests =
           | Error msg -> Alcotest.failf "script %S failed: %s" script msg
         in
         ignore (run_app "set i 0; while {$i < 50} {incr i}");
-        check_string "enabled visible" "1"
-          (run_app "xstat get tcl.vm.enabled");
+        check_string "canonical visible" "1"
+          (run_app "xstat get tcl.vm.canonical");
         let hits = int_of_string (run_app "xstat get tcl.vm.slot_hits") in
         check_bool "slot hits visible and nonzero" true (hits > 0);
         ignore (run_app "xstat reset");
