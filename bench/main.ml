@@ -146,6 +146,22 @@ let size_rows =
 
 let opt_str = function Some n -> string_of_int n | None -> "-"
 
+(* Our line count (and compiled bytes, where measured) for each row;
+   the text table and the --json [table1] object both print these. *)
+type size_count = { row : size_row; ours : int; bytes : int option }
+
+let size_counts root =
+  List.map
+    (fun row ->
+      let ours = Loc_count.count_lines (Loc_count.module_files ~root row.spec) in
+      let bytes =
+        match row.obj_dir with
+        | Some dir -> Loc_count.compiled_bytes ~root dir
+        | None -> None
+      in
+      { row; ours; bytes })
+    size_rows
+
 let table1 () =
   section "Table I: source size, Xt/Motif vs Tk (paper) vs this repo";
   match Loc_count.find_repo_root () with
@@ -153,26 +169,17 @@ let table1 () =
   | Some root ->
     Printf.printf "%-18s %10s %10s %12s %14s\n" "" "Xt/Motif" "Tk (paper)"
       "ours (OCaml)" "ours (bytes)";
-    let totals = ref (0, 0, 0) in
+    let counts = size_counts root in
     List.iter
-      (fun row ->
-        let files = Loc_count.module_files ~root row.spec in
-        let ours = Loc_count.count_lines files in
-        let bytes =
-          match row.obj_dir with
-          | Some dir -> Loc_count.compiled_bytes ~root dir
-          | None -> None
-        in
-        let xt, tk, o = !totals in
-        totals :=
-          ( xt + Option.value row.xt_lines ~default:0,
-            tk + Option.value row.tk_lines ~default:0,
-            o + ours );
-        Printf.printf "%-18s %10s %10s %12d %14s\n" row.label
-          (opt_str row.xt_lines) (opt_str row.tk_lines) ours
-          (match bytes with Some b -> string_of_int b | None -> "-"))
-      size_rows;
-    let xt, tk, ours = !totals in
+      (fun c ->
+        Printf.printf "%-18s %10s %10s %12d %14s\n" c.row.label
+          (opt_str c.row.xt_lines) (opt_str c.row.tk_lines) c.ours
+          (opt_str c.bytes))
+      counts;
+    let sum f = List.fold_left (fun acc c -> acc + f c) 0 counts in
+    let xt = sum (fun c -> Option.value c.row.xt_lines ~default:0) in
+    let tk = sum (fun c -> Option.value c.row.tk_lines ~default:0) in
+    let ours = sum (fun c -> c.ours) in
     Printf.printf "%-18s %10d %10d %12d\n" "Total" xt tk ours;
     Printf.printf
       "\n\
@@ -184,12 +191,15 @@ let table1 () =
        Tk\n"
       ours
       (float_of_int ours /. float_of_int tk);
+    let widget_ratio label =
+      let c = List.find (fun c -> c.row.label = label) counts in
+      float_of_int (Option.get c.row.xt_lines) /. float_of_int c.ours
+    in
     Printf.printf
       "  Widget ratios (Xt/Motif lines / ours): buttons %.1fx, scrollbar \
        %.1fx, listbox %.1fx\n"
-      (6300.0 /. float_of_int (Loc_count.count_lines (Loc_count.module_files ~root "lib/widgets/button.ml,lib/widgets/button.mli")))
-      (3000.0 /. float_of_int (Loc_count.count_lines (Loc_count.module_files ~root "lib/widgets/scrollbar.ml,lib/widgets/scrollbar.mli")))
-      (6400.0 /. float_of_int (Loc_count.count_lines (Loc_count.module_files ~root "lib/widgets/listbox.ml,lib/widgets/listbox.mli")))
+      (widget_ratio "Buttons") (widget_ratio "Scrollbar")
+      (widget_ratio "Listbox")
 
 (* ------------------------------------------------------------------ *)
 (* Table II: execution times *)
@@ -1161,6 +1171,24 @@ let storm_json ~smoke =
       );
     ]
 
+let table1_json () =
+  match Loc_count.find_repo_root () with
+  | None -> J_list []
+  | Some root ->
+    J_list
+      (List.map
+         (fun c ->
+           J_obj
+             [
+               ("label", J_string c.row.label);
+               ("ours_lines", J_int c.ours);
+               ( "paper_tk_lines",
+                 match c.row.tk_lines with
+                 | Some n -> J_int n
+                 | None -> J_string "-" );
+             ])
+         (size_counts root))
+
 let emit_json ~path ~smoke =
   let quota = if smoke then Some 0.05 else None in
   (* Collected first, on a pristine heap: the canvas numbers are per-item
@@ -1224,6 +1252,7 @@ let emit_json ~path ~smoke =
         ("benchmark", J_string "tk-repro");
         ("pr", J_int 10);
         ("mode", J_string (if smoke then "smoke" else "full"));
+        ("table1", J_obj [ ("rows", table1_json ()) ]);
         ( "table2",
           J_obj
             [

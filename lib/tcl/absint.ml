@@ -204,6 +204,9 @@ let rec eval hooks ~soft (a : Expr.ast) =
       | exception Expr.Error msg -> raise (Guaranteed msg)
     else if List.mem Vbot vs then Vbot
     else func_kind name)
+  | Expr.A_then _ | Expr.A_fail _ ->
+    (* Only in failed parses, which the walker skips. *)
+    Vtop
 
 (* A subexpression that only may run: failures are possibilities (not
    guarantees) and reads are soft. *)

@@ -18,15 +18,10 @@ let to_string = function
   | Str s -> s
 
 let number_of_string s =
-  let s' = String.trim s in
-  if s' = "" then None
-  else
-    match int_of_string_opt s' with
-    | Some i -> Some (Int i)
-    | None -> (
-      match float_of_string_opt s' with
-      | Some f -> Some (Float f)
-      | None -> None)
+  match Tval.parse_num s with
+  | Tval.Nint i -> Some (Int i)
+  | Tval.Ndbl f -> Some (Float f)
+  | Tval.Nnone | Tval.Nmaybe -> None
 
 let as_number v =
   match v with
@@ -56,210 +51,6 @@ let truthy v =
     | s -> error "expected boolean value but got %S" s)
 
 (* ------------------------------------------------------------------ *)
-(* Lexer *)
-
-type token =
-  | Num of value
-  | Strval of string (* quoted or braced operand: compares as string *)
-  | Ident of string (* math function name *)
-  | Op of string
-  | Lparen
-  | Rparen
-  | Comma
-  | End
-
-type lexer = {
-  env : env;
-  src : string;
-  mutable pos : int;
-  mutable tok : token;
-  mutable skip : int;
-      (* > 0 while parsing an operand that must not be evaluated: the
-         unreached branch of &&, || or ?:. Substitutions are suppressed and
-         operators return dummies, so side effects and spurious type errors
-         (e.g. divide by zero in dead code) cannot occur. *)
-}
-
-let skipping lx = lx.skip > 0
-
-let skipped lx thunk =
-  lx.skip <- lx.skip + 1;
-  Fun.protect ~finally:(fun () -> lx.skip <- lx.skip - 1) thunk
-
-(* Read a $variable reference starting at the '$'; returns its value. *)
-let read_variable lx =
-  let s = lx.src and n = String.length lx.src in
-  let start = lx.pos + 1 in
-  let i = ref start in
-  if !i < n && s.[!i] = '{' then begin
-    let j = ref (!i + 1) in
-    while !j < n && s.[!j] <> '}' do
-      incr j
-    done;
-    if !j >= n then error "missing close-brace for variable name";
-    let name = String.sub s (!i + 1) (!j - !i - 1) in
-    lx.pos <- !j + 1;
-    if skipping lx then "" else lx.env.get_var name
-  end
-  else begin
-    while !i < n && Chars.is_var_char s.[!i] do
-      incr i
-    done;
-    if !i = start then error "invalid character after $ in expression";
-    let name_end = !i in
-    if !i < n && s.[!i] = '(' then begin
-      (* Array reference: scan to the matching ')'. *)
-      let depth = ref 1 in
-      incr i;
-      while !i < n && !depth > 0 do
-        (match s.[!i] with
-        | '(' -> incr depth
-        | ')' -> decr depth
-        | _ -> ());
-        incr i
-      done;
-      if !depth > 0 then error "missing close-paren in array reference";
-      let name = String.sub s start (!i - start) in
-      lx.pos <- !i;
-      if skipping lx then "" else lx.env.get_var name
-    end
-    else begin
-      let name = String.sub s start (name_end - start) in
-      lx.pos <- name_end;
-      if skipping lx then "" else lx.env.get_var name
-    end
-  end
-
-(* Read a [command] substitution starting at the '['. *)
-let read_command lx =
-  let s = lx.src and n = String.length lx.src in
-  let rec scan j depth =
-    if j >= n then error "missing close-bracket in expression"
-    else
-      match s.[j] with
-      | '\\' -> scan (j + 2) depth
-      | '[' -> scan (j + 1) (depth + 1)
-      | ']' -> if depth = 0 then j else scan (j + 1) (depth - 1)
-      | _ -> scan (j + 1) depth
-  in
-  let close = scan (lx.pos + 1) 0 in
-  let script = String.sub lx.src (lx.pos + 1) (close - lx.pos - 1) in
-  lx.pos <- close + 1;
-  if skipping lx then "" else lx.env.eval_cmd script
-
-(* Read a "quoted string" operand, performing backslash, variable and
-   command substitution inside. *)
-let read_quoted lx =
-  let s = lx.src and n = String.length lx.src in
-  let buf = Buffer.create 16 in
-  lx.pos <- lx.pos + 1;
-  let rec go () =
-    if lx.pos >= n then error "missing close quote in expression"
-    else
-      match s.[lx.pos] with
-      | '"' ->
-        lx.pos <- lx.pos + 1;
-        Buffer.contents buf
-      | '\\' ->
-        let repl, j = Chars.backslash_subst s lx.pos in
-        Buffer.add_string buf repl;
-        lx.pos <- j;
-        go ()
-      | '$' ->
-        Buffer.add_string buf (read_variable lx);
-        go ()
-      | '[' ->
-        Buffer.add_string buf (read_command lx);
-        go ()
-      | c ->
-        Buffer.add_char buf c;
-        lx.pos <- lx.pos + 1;
-        go ()
-  in
-  go ()
-
-let read_braced lx =
-  match Chars.find_matching_brace lx.src lx.pos with
-  | None -> error "missing close brace in expression"
-  | Some j ->
-    let content = String.sub lx.src (lx.pos + 1) (j - lx.pos - 1) in
-    lx.pos <- j + 1;
-    content
-
-let read_number lx =
-  let s = lx.src and n = String.length lx.src in
-  let start = lx.pos in
-  let i = ref start in
-  let is_num_char c =
-    Chars.is_digit c || c = '.' || c = 'x' || c = 'X'
-    || (c >= 'a' && c <= 'f')
-    || (c >= 'A' && c <= 'F')
-  in
-  while !i < n && is_num_char s.[!i] do
-    (* Accept exponent signs: "1e+5". *)
-    if (s.[!i] = 'e' || s.[!i] = 'E')
-       && !i + 1 < n
-       && (s.[!i + 1] = '+' || s.[!i + 1] = '-')
-       && not (String.length s > start + 1 && (s.[start + 1] = 'x' || s.[start + 1] = 'X'))
-    then i := !i + 2
-    else incr i
-  done;
-  let text = String.sub s start (!i - start) in
-  lx.pos <- !i;
-  match number_of_string text with
-  | Some v -> v
-  | None -> error "malformed number %S in expression" text
-
-let rec next_token lx =
-  let s = lx.src and n = String.length lx.src in
-  while lx.pos < n && (Chars.is_space s.[lx.pos] || s.[lx.pos] = '\n') do
-    lx.pos <- lx.pos + 1
-  done;
-  if lx.pos >= n then lx.tok <- End
-  else
-    let two op = lx.pos <- lx.pos + 2; lx.tok <- Op op in
-    let one op = lx.pos <- lx.pos + 1; lx.tok <- Op op in
-    let c = s.[lx.pos] in
-    let c2 = if lx.pos + 1 < n then Some s.[lx.pos + 1] else None in
-    match (c, c2) with
-    | '(', _ -> lx.pos <- lx.pos + 1; lx.tok <- Lparen
-    | ')', _ -> lx.pos <- lx.pos + 1; lx.tok <- Rparen
-    | ',', _ -> lx.pos <- lx.pos + 1; lx.tok <- Comma
-    | '$', _ -> lx.tok <- Strval (read_variable lx)
-    | '[', _ -> lx.tok <- Strval (read_command lx)
-    | '"', _ -> lx.tok <- Strval (read_quoted lx)
-    | '{', _ -> lx.tok <- Strval (read_braced lx)
-    | '\\', _ ->
-      (* Backslash-newline continuation inside expressions. *)
-      let repl, j = Chars.backslash_subst s lx.pos in
-      if String.trim repl = "" then begin
-        lx.pos <- j;
-        next_token lx
-      end
-      else lx.tok <- Strval repl
-    | '0' .. '9', _ -> lx.tok <- Num (read_number lx)
-    | '.', Some d when Chars.is_digit d -> lx.tok <- Num (read_number lx)
-    | '<', Some '<' -> two "<<"
-    | '>', Some '>' -> two ">>"
-    | '<', Some '=' -> two "<="
-    | '>', Some '=' -> two ">="
-    | '=', Some '=' -> two "=="
-    | '!', Some '=' -> two "!="
-    | '&', Some '&' -> two "&&"
-    | '|', Some '|' -> two "||"
-    | ('+' | '-' | '*' | '/' | '%' | '<' | '>' | '!' | '~' | '&' | '|' | '^' | '?' | ':'), _
-      -> one (String.make 1 c)
-    | ('a' .. 'z' | 'A' .. 'Z' | '_'), _ ->
-      let i = ref lx.pos in
-      while !i < n && Chars.is_var_char s.[!i] do
-        incr i
-      done;
-      let name = String.sub s lx.pos (!i - lx.pos) in
-      lx.pos <- !i;
-      lx.tok <- Ident name
-    | _ -> error "syntax error in expression near %C" c
-
-(* ------------------------------------------------------------------ *)
 (* Arithmetic on values *)
 
 let arith name fi ff a b =
@@ -272,6 +63,11 @@ let arith name fi ff a b =
     | Some f -> Float (f fx fy)
     | None -> error "can't use floating-point value as operand of %S" name)
   | _ -> assert false
+
+(* Integer-only operators check their right operand first. *)
+let int_op f a b =
+  let y = as_int b in
+  Int (f (as_int a) y)
 
 let compare_values a b =
   match (as_number a, as_number b) with
@@ -294,50 +90,22 @@ let int_mod x y =
     let r = x mod y in
     if r <> 0 && (r < 0) <> (y < 0) then r + y else r
 
+(* OCaml's shifts are unspecified outside 0 .. int_size - 1; a count
+   past the width shifts every bit out (copies of the sign bit, for
+   >>). *)
+let shift_left x n =
+  if n < 0 then error "negative shift argument"
+  else if n >= Sys.int_size then 0
+  else x lsl n
+
+let shift_right x n =
+  if n < 0 then error "negative shift argument"
+  else if n >= Sys.int_size then if x < 0 then -1 else 0
+  else x asr n
+
 let bool_val b = Int (if b then 1 else 0)
 
-(* ------------------------------------------------------------------ *)
-(* Parser: precedence climbing *)
-
-let rec parse_ternary lx =
-  let cond = parse_binary lx 0 in
-  match lx.tok with
-  | Op "?" ->
-    (* [next_token] performs substitution, so each branch's first token
-       must be read under the right skip mode. *)
-    let check_colon () =
-      match lx.tok with
-      | Op ":" -> ()
-      | _ -> error "missing ':' in ternary expression"
-    in
-    if skipping lx then begin
-      next_token lx;
-      ignore (parse_ternary lx);
-      check_colon ();
-      next_token lx;
-      ignore (parse_ternary lx);
-      Int 0
-    end
-    else if truthy cond then begin
-      next_token lx;
-      let t = parse_ternary lx in
-      check_colon ();
-      skipped lx (fun () ->
-          next_token lx;
-          ignore (parse_ternary lx));
-      t
-    end
-    else begin
-      skipped lx (fun () ->
-          next_token lx;
-          ignore (parse_ternary lx));
-      check_colon ();
-      next_token lx;
-      parse_ternary lx
-    end
-  | _ -> cond
-
-and binary_level = function
+let binary_level = function
   | "||" -> Some 1
   | "&&" -> Some 2
   | "|" -> Some 3
@@ -350,53 +118,7 @@ and binary_level = function
   | "*" | "/" | "%" -> Some 10
   | _ -> None
 
-and parse_binary lx min_level =
-  let lhs = ref (parse_unary lx) in
-  let continue_ = ref true in
-  while !continue_ do
-    match lx.tok with
-    | Op op -> (
-      match binary_level op with
-      | Some level when level >= min_level ->
-        (* Short-circuit for && and ||: the right side is parsed but not
-           evaluated when the left side decides the result. The skip mode
-           must be entered before [next_token] reads (and would otherwise
-           substitute) the right side's first token. *)
-        let parse_rhs_live () =
-          next_token lx;
-          parse_binary lx (level + 1)
-        in
-        let parse_rhs_skipped () =
-          skipped lx (fun () ->
-              next_token lx;
-              ignore (parse_binary lx (level + 1)))
-        in
-        (match op with
-        | ("&&" | "||") when skipping lx ->
-          next_token lx;
-          ignore (parse_binary lx (level + 1));
-          lhs := Int 0
-        | "&&" ->
-          if truthy !lhs then lhs := bool_val (truthy (parse_rhs_live ()))
-          else begin
-            parse_rhs_skipped ();
-            lhs := bool_val false
-          end
-        | "||" ->
-          if truthy !lhs then begin
-            parse_rhs_skipped ();
-            lhs := bool_val true
-          end
-          else lhs := bool_val (truthy (parse_rhs_live ()))
-        | _ ->
-          let rhs = parse_rhs_live () in
-          lhs := (if skipping lx then Int 0 else apply_binary op !lhs rhs))
-      | _ -> continue_ := false)
-    | _ -> continue_ := false
-  done;
-  !lhs
-
-and apply_binary op a b =
+let apply_binary op a b =
   match op with
   | "+" -> arith "+" ( + ) (Some ( +. )) a b
   | "-" -> arith "-" ( - ) (Some ( -. )) a b
@@ -406,12 +128,12 @@ and apply_binary op a b =
       (Some
          (fun x y -> if y = 0.0 then error "divide by zero" else x /. y))
       a b
-  | "%" -> Int (int_mod (as_int a) (as_int b))
-  | "<<" -> Int (as_int a lsl as_int b)
-  | ">>" -> Int (as_int a asr as_int b)
-  | "&" -> Int (as_int a land as_int b)
-  | "|" -> Int (as_int a lor as_int b)
-  | "^" -> Int (as_int a lxor as_int b)
+  | "%" -> int_op int_mod a b
+  | "<<" -> int_op shift_left a b
+  | ">>" -> int_op shift_right a b
+  | "&" -> int_op ( land ) a b
+  | "|" -> int_op ( lor ) a b
+  | "^" -> int_op ( lxor ) a b
   | "==" -> bool_val (compare_values a b = 0)
   | "!=" -> bool_val (compare_values a b <> 0)
   | "<" -> bool_val (compare_values a b < 0)
@@ -420,7 +142,7 @@ and apply_binary op a b =
   | ">=" -> bool_val (compare_values a b >= 0)
   | _ -> error "unknown operator %S" op
 
-and apply_unary op v =
+let apply_unary op v =
   match op with
   | "-" -> (
     match require_number v with
@@ -431,66 +153,14 @@ and apply_unary op v =
   | "!" -> bool_val (not (truthy v))
   | _ -> Int (lnot (as_int v))
 
-and parse_unary lx =
-  match lx.tok with
-  | Op (("-" | "+" | "!" | "~") as op) ->
-    next_token lx;
-    let v = parse_unary lx in
-    if skipping lx then Int 0 else apply_unary op v
-  | _ -> parse_primary lx
+(* An integral float (from int() or round()) as an integer. *)
+let int_of_integral f =
+  if Float.is_nan f then error "domain error: argument not in valid range"
+  else if f < -0x1p62 || f >= 0x1p62 then
+    error "integer value too large to represent"
+  else int_of_float f
 
-and parse_primary lx =
-  match lx.tok with
-  | Num v ->
-    next_token lx;
-    v
-  | Strval s ->
-    next_token lx;
-    (* A substituted operand is numeric if it looks numeric. *)
-    (match number_of_string s with Some v -> v | None -> Str s)
-  | Lparen ->
-    next_token lx;
-    let v = parse_ternary lx in
-    (match lx.tok with
-    | Rparen ->
-      next_token lx;
-      v
-    | _ -> error "missing close paren in expression")
-  | Ident name ->
-    next_token lx;
-    (match lx.tok with
-    | Lparen ->
-      next_token lx;
-      let args = parse_args lx [] in
-      if skipping lx then Int 0 else apply_function name args
-    | _ -> (
-      (* Bare words: accept booleans, else it is an error. *)
-      match String.lowercase_ascii name with
-      | "true" | "yes" | "on" -> Int 1
-      | "false" | "no" | "off" -> Int 0
-      | _ -> error "unknown operand %S in expression" name))
-  | Op op -> error "unexpected operator %S in expression" op
-  | Comma -> error "unexpected ',' in expression"
-  | Rparen -> error "unexpected ')' in expression"
-  | End -> error "premature end of expression"
-
-and parse_args lx acc =
-  match lx.tok with
-  | Rparen ->
-    next_token lx;
-    List.rev acc
-  | _ ->
-    let v = parse_ternary lx in
-    (match lx.tok with
-    | Comma ->
-      next_token lx;
-      parse_args lx (v :: acc)
-    | Rparen ->
-      next_token lx;
-      List.rev (v :: acc)
-    | _ -> error "missing ')' in math function call")
-
-and apply_function name args =
+let apply_function name args =
   let float1 f =
     match args with
     | [ a ] -> (
@@ -521,7 +191,7 @@ and apply_function name args =
     | [ a ] -> (
       match require_number a with
       | Int i -> Int i
-      | Float f -> Int (int_of_float (Float.trunc f))
+      | Float f -> Int (int_of_integral (Float.trunc f))
       | Str _ -> assert false)
     | _ -> error "math function \"int\" takes one argument")
   | "round" -> (
@@ -529,7 +199,7 @@ and apply_function name args =
     | [ a ] -> (
       match require_number a with
       | Int i -> Int i
-      | Float f -> Int (int_of_float (Float.round f))
+      | Float f -> Int (int_of_integral (Float.round f))
       | Str _ -> assert false)
     | _ -> error "math function \"round\" takes one argument")
   | "double" -> (
@@ -560,35 +230,34 @@ and apply_function name args =
   | "max" -> float2 Float.max
   | _ -> error "unknown math function %S" name
 
-let eval env src =
-  let lx = { env; src; pos = 0; tok = End; skip = 0 } in
-  next_token lx;
-  let v = parse_ternary lx in
-  match lx.tok with
-  | End -> v
-  | _ -> error "extra tokens at end of expression %S" src
-
-let eval_string env src = to_string (eval env src)
-
-let eval_bool env src = truthy (eval env src)
+let operand_value s =
+  match number_of_string s with Some v -> v | None -> Str s
 
 (* ------------------------------------------------------------------ *)
-(* Parsed-AST entry point.
+(* Parser.
 
-   The evaluator above interleaves lexing with substitution, so a hot
-   condition like [{$i < $n}] is re-scanned on every loop iteration.
-   The pure tokenizer below reads the same grammar without touching the
-   environment, producing an AST that can be cached keyed by the source
-   string and evaluated repeatedly.
+   Tcl's expression semantics are those of a parse-while-evaluate
+   recursive descent: each token is lexed one ahead of the parser and
+   substituted as soon as it is lexed; an operator applies once its
+   right operand is complete; a syntax error aborts where it is found;
+   the unreached branch of &&, || and ?: is parsed without substituting
+   or applying anything. [parse] follows that control flow exactly but
+   builds an AST instead of values, so the AST can be cached and
+   [eval_ast] replays the same events.
 
-   Fidelity contract: for any string that {!parse} accepts, [eval_ast]
-   must behave byte-identically to {!eval} — same values, same errors,
-   same substitution order, same short-circuit behaviour.  Strings that
-   {!parse} rejects are NOT necessarily invalid at run time in a
-   different sense: the interleaved evaluator may perform substitutions
-   (with side effects) before discovering the same syntax error.  The
-   caller therefore falls back to {!eval} whenever [parse] fails, which
-   reproduces the reference behaviour exactly. *)
+   The parse is total. Where the descent would raise, the parser builds
+   [A_fail (pre, msg)] and replaces the current token with [P_stop msg],
+   so every enclosing frame returns what it has parsed. Three shapes
+   occur only in a failed parse:
+   - a substituting token lexed right after a complete operand (it can
+     only end in an error) becomes [A_then (operand, substitution)];
+   - a lexical error there is raised before any pending operator
+     applies, so its [A_fail] holds that operand;
+   - a branch holding the failure raises it even when skipped, so
+     [x && y] becomes [x ? y : fail], [x || y] becomes [x ? fail : y],
+     and the skipped branch of a ternary becomes [fail].
+   [parse] gives a failed parse an [A_fail] root, so callers can tell
+   one by its root constructor. *)
 
 type qpart = Q_lit of string | Q_var of string | Q_cmd of string
 
@@ -601,6 +270,8 @@ type ast =
   | A_binop of string * ast * ast
   | A_ternary of ast * ast * ast
   | A_func of string * ast list
+  | A_then of ast * ast
+  | A_fail of ast list * string
 
 type ptok =
   | P_num of value
@@ -614,12 +285,20 @@ type ptok =
   | P_rparen
   | P_comma
   | P_end
+  | P_bad of ast list * string
+      (* a lexical error, after the substitutions of the quoted operand
+         it cut short *)
+  | P_stop of string (* the parse has failed with this message *)
 
 type plexer = { psrc : string; mutable ppos : int; mutable ptok : ptok }
 
-(* Mirrors [read_variable], but returns the name instead of the value.
-   Array references keep their parenthesised index verbatim: the index is
-   not substituted in expressions. *)
+exception Lex of ast list * string
+
+let lex_error fmt = Format.kasprintf (fun msg -> raise (Lex ([], msg))) fmt
+
+(* The name of a $variable reference starting at the '$'. Array
+   references keep their parenthesised index verbatim: the index is not
+   substituted in expressions. *)
 let scan_variable_name lx =
   let s = lx.psrc and n = String.length lx.psrc in
   let start = lx.ppos + 1 in
@@ -629,7 +308,7 @@ let scan_variable_name lx =
     while !j < n && s.[!j] <> '}' do
       incr j
     done;
-    if !j >= n then error "missing close-brace for variable name";
+    if !j >= n then lex_error "missing close-brace for variable name";
     let name = String.sub s (!i + 1) (!j - !i - 1) in
     lx.ppos <- !j + 1;
     name
@@ -638,7 +317,7 @@ let scan_variable_name lx =
     while !i < n && Chars.is_var_char s.[!i] do
       incr i
     done;
-    if !i = start then error "invalid character after $ in expression";
+    if !i = start then lex_error "invalid character after $ in expression";
     let name_end = !i in
     if !i < n && s.[!i] = '(' then begin
       let depth = ref 1 in
@@ -650,7 +329,7 @@ let scan_variable_name lx =
         | _ -> ());
         incr i
       done;
-      if !depth > 0 then error "missing close-paren in array reference";
+      if !depth > 0 then lex_error "missing close-paren in array reference";
       let name = String.sub s start (!i - start) in
       lx.ppos <- !i;
       name
@@ -662,11 +341,11 @@ let scan_variable_name lx =
     end
   end
 
-(* Mirrors [read_command], returning the script text. *)
+(* The script of a [command] substitution starting at the '['. *)
 let scan_command lx =
   let s = lx.psrc and n = String.length lx.psrc in
   let rec scan j depth =
-    if j >= n then error "missing close-bracket in expression"
+    if j >= n then lex_error "missing close-bracket in expression"
     else
       match s.[j] with
       | '\\' -> scan (j + 2) depth
@@ -679,7 +358,9 @@ let scan_command lx =
   lx.ppos <- close + 1;
   script
 
-(* Mirrors [read_quoted], collecting parts instead of substituting. *)
+(* A "quoted" operand: backslashes are substituted now, variables and
+   commands are collected as parts. A lexical error inside carries the
+   parts before it, whose substitutions run before the error. *)
 let scan_quoted lx =
   let s = lx.psrc and n = String.length lx.psrc in
   let parts = ref [] in
@@ -692,7 +373,7 @@ let scan_quoted lx =
   in
   lx.ppos <- lx.ppos + 1;
   let rec go () =
-    if lx.ppos >= n then error "missing close quote in expression"
+    if lx.ppos >= n then lex_error "missing close quote in expression"
     else
       match s.[lx.ppos] with
       | '"' ->
@@ -719,17 +400,17 @@ let scan_quoted lx =
         lx.ppos <- lx.ppos + 1;
         go ()
   in
-  go ()
+  try go ()
+  with Lex (_, msg) -> raise (Lex ([ A_quoted (List.rev !parts) ], msg))
 
 let scan_braced lx =
   match Chars.find_matching_brace lx.psrc lx.ppos with
-  | None -> error "missing close brace in expression"
+  | None -> lex_error "missing close brace in expression"
   | Some j ->
     let content = String.sub lx.psrc (lx.ppos + 1) (j - lx.ppos - 1) in
     lx.ppos <- j + 1;
     content
 
-(* Mirrors [read_number]. *)
 let scan_number lx =
   let s = lx.psrc and n = String.length lx.psrc in
   let start = lx.ppos in
@@ -740,6 +421,7 @@ let scan_number lx =
     || (c >= 'A' && c <= 'F')
   in
   while !i < n && is_num_char s.[!i] do
+    (* Accept exponent signs: "1e+5". *)
     if (s.[!i] = 'e' || s.[!i] = 'E')
        && !i + 1 < n
        && (s.[!i + 1] = '+' || s.[!i + 1] = '-')
@@ -751,12 +433,11 @@ let scan_number lx =
   lx.ppos <- !i;
   match number_of_string text with
   | Some v -> v
-  | None -> error "malformed number %S in expression" text
+  | None -> lex_error "malformed number %S in expression" text
 
-(* Mirrors [next_token] exactly, including its quirk of not consuming a
-   non-whitespace backslash operand (the reference then reports "extra
-   tokens at end of expression", and so must we). *)
-let rec pnext_token lx =
+(* A non-whitespace backslash operand is not consumed: the parser sees
+   it twice and reports "extra tokens at end of expression". *)
+let rec scan_token lx =
   let s = lx.psrc and n = String.length lx.psrc in
   while lx.ppos < n && (Chars.is_space s.[lx.ppos] || s.[lx.ppos] = '\n') do
     lx.ppos <- lx.ppos + 1
@@ -776,10 +457,11 @@ let rec pnext_token lx =
     | '"', _ -> lx.ptok <- P_quoted (scan_quoted lx)
     | '{', _ -> lx.ptok <- P_str (scan_braced lx)
     | '\\', _ ->
+      (* Backslash-newline continuation inside expressions. *)
       let repl, j = Chars.backslash_subst s lx.ppos in
       if String.trim repl = "" then begin
         lx.ppos <- j;
-        pnext_token lx
+        scan_token lx
       end
       else lx.ptok <- P_str repl
     | '0' .. '9', _ -> lx.ptok <- P_num (scan_number lx)
@@ -802,23 +484,50 @@ let rec pnext_token lx =
       let name = String.sub s lx.ppos (!i - lx.ppos) in
       lx.ppos <- !i;
       lx.ptok <- P_ident name
-    | _ -> error "syntax error in expression near %C" c
+    | _ -> lex_error "syntax error in expression near %C" c
 
-let operand_value s =
-  match number_of_string s with Some v -> v | None -> Str s
+let lex_next lx =
+  try scan_token lx with Lex (pre, msg) -> lx.ptok <- P_bad (pre, msg)
+
+let stop lx pre msg =
+  lx.ptok <- P_stop msg;
+  A_fail (pre, msg)
+
+(* The substitution a token performs as it is lexed. *)
+let substitution = function
+  | P_var name -> Some (A_var name)
+  | P_cmd script -> Some (A_cmd script)
+  | P_quoted parts -> Some (A_quoted parts)
+  | _ -> None
+
+(* [a] is a complete operand and the token after it has been lexed. *)
+let after_operand lx a =
+  match lx.ptok with
+  | P_bad (pre, msg) -> stop lx (a :: pre) msg
+  | tok -> (
+    match substitution tok with Some e -> A_then (a, e) | None -> a)
+
+let advance lx a =
+  lex_next lx;
+  after_operand lx a
 
 let rec p_ternary lx =
   let cond = p_binary lx 0 in
   match lx.ptok with
-  | P_op "?" ->
-    pnext_token lx;
+  | P_op "?" -> (
+    lex_next lx;
     let t = p_ternary lx in
-    (match lx.ptok with
-    | P_op ":" ->
-      pnext_token lx;
+    match lx.ptok with
+    | P_stop msg -> A_ternary (cond, t, A_fail ([], msg))
+    | P_op ":" -> (
+      lex_next lx;
       let f = p_ternary lx in
-      A_ternary (cond, t, f)
-    | _ -> error "missing ':' in ternary expression")
+      match lx.ptok with
+      | P_stop msg -> A_ternary (cond, A_fail ([ t ], msg), f)
+      | _ -> A_ternary (cond, t, f))
+    | _ ->
+      let msg = "missing ':' in ternary expression" in
+      A_ternary (cond, A_fail ([ t ], msg), stop lx [] msg))
   | _ -> cond
 
 and p_binary lx min_level =
@@ -829,9 +538,13 @@ and p_binary lx min_level =
     | P_op op -> (
       match binary_level op with
       | Some level when level >= min_level ->
-        pnext_token lx;
+        lex_next lx;
         let rhs = p_binary lx (level + 1) in
-        lhs := A_binop (op, !lhs, rhs)
+        lhs :=
+          (match (op, lx.ptok) with
+          | "&&", P_stop msg -> A_ternary (!lhs, rhs, A_fail ([], msg))
+          | "||", P_stop msg -> A_ternary (!lhs, A_fail ([], msg), rhs)
+          | _ -> A_binop (op, !lhs, rhs))
       | _ -> continue_ := false)
     | _ -> continue_ := false
   done;
@@ -840,86 +553,94 @@ and p_binary lx min_level =
 and p_unary lx =
   match lx.ptok with
   | P_op (("-" | "+" | "!" | "~") as op) ->
-    pnext_token lx;
+    lex_next lx;
     A_unop (op, p_unary lx)
   | _ -> p_primary lx
 
 and p_primary lx =
   match lx.ptok with
-  | P_num v ->
-    pnext_token lx;
-    A_const v
-  | P_str s ->
-    pnext_token lx;
-    A_const (operand_value s)
-  | P_var name ->
-    pnext_token lx;
-    A_var name
-  | P_cmd script ->
-    pnext_token lx;
-    A_cmd script
+  | P_num v -> advance lx (A_const v)
+  | P_str s -> advance lx (A_const (operand_value s))
+  | P_var name -> advance lx (A_var name)
+  | P_cmd script -> advance lx (A_cmd script)
   | P_quoted parts ->
-    pnext_token lx;
-    (match parts with
-    | [] -> A_const (operand_value "")
-    | [ Q_lit s ] -> A_const (operand_value s)
-    | _ -> A_quoted parts)
-  | P_lparen ->
-    pnext_token lx;
+    advance lx
+      (match parts with
+      | [] -> A_const (operand_value "")
+      | [ Q_lit s ] -> A_const (operand_value s)
+      | _ -> A_quoted parts)
+  | P_lparen -> (
+    lex_next lx;
     let v = p_ternary lx in
-    (match lx.ptok with
-    | P_rparen ->
-      pnext_token lx;
-      v
-    | _ -> error "missing close paren in expression")
-  | P_ident name ->
-    pnext_token lx;
-    (match lx.ptok with
+    match lx.ptok with
+    | P_rparen -> advance lx v
+    | P_stop _ -> v
+    | _ -> stop lx [ v ] "missing close paren in expression")
+  | P_ident name -> (
+    lex_next lx;
+    match lx.ptok with
+    | P_bad (pre, msg) -> stop lx pre msg
     | P_lparen ->
-      pnext_token lx;
-      A_func (name, p_args lx [])
-    | _ -> (
+      lex_next lx;
+      p_args lx name []
+    | tok -> (
       match String.lowercase_ascii name with
-      | "true" | "yes" | "on" -> A_const (Int 1)
-      | "false" | "no" | "off" -> A_const (Int 0)
-      | _ -> error "unknown operand %S in expression" name))
-  | P_op op -> error "unexpected operator %S in expression" op
-  | P_comma -> error "unexpected ',' in expression"
-  | P_rparen -> error "unexpected ')' in expression"
-  | P_end -> error "premature end of expression"
+      | "true" | "yes" | "on" -> after_operand lx (A_const (Int 1))
+      | "false" | "no" | "off" -> after_operand lx (A_const (Int 0))
+      | _ ->
+        stop lx
+          (Option.to_list (substitution tok))
+          (Printf.sprintf "unknown operand %S in expression" name)))
+  | P_bad (pre, msg) -> stop lx pre msg
+  | P_op op ->
+    stop lx [] (Printf.sprintf "unexpected operator %S in expression" op)
+  | P_comma -> stop lx [] "unexpected ',' in expression"
+  | P_rparen -> stop lx [] "unexpected ')' in expression"
+  | P_end -> stop lx [] "premature end of expression"
+  | P_stop msg -> A_fail ([], msg)
 
-and p_args lx acc =
+(* [acc] holds the arguments parsed so far, last first. *)
+and p_args lx name acc =
   match lx.ptok with
-  | P_rparen ->
-    pnext_token lx;
-    List.rev acc
-  | _ ->
+  | P_rparen -> close_call lx name acc
+  | _ -> (
     let v = p_ternary lx in
-    (match lx.ptok with
+    match lx.ptok with
     | P_comma ->
-      pnext_token lx;
-      p_args lx (v :: acc)
-    | P_rparen ->
-      pnext_token lx;
-      List.rev (v :: acc)
-    | _ -> error "missing ')' in math function call")
+      lex_next lx;
+      p_args lx name (v :: acc)
+    | P_rparen -> close_call lx name (v :: acc)
+    | P_stop _ -> A_func (name, List.rev (v :: acc))
+    | _ ->
+      stop lx (List.rev (v :: acc)) "missing ')' in math function call")
+
+(* The token after a call's ")" is lexed, and substituted, before the
+   function applies: a lexical error there wins over the call's own
+   errors, and a substitution runs after the last argument. Every math
+   function takes an argument, so a call without one always fails. *)
+and close_call lx name acc =
+  lex_next lx;
+  match lx.ptok with
+  | P_bad (pre, msg) -> stop lx (List.rev_append acc pre) msg
+  | tok -> (
+    match (substitution tok, acc) with
+    | None, _ -> A_func (name, List.rev acc)
+    | Some e, last :: rest -> A_func (name, List.rev (A_then (last, e) :: rest))
+    | Some e, [] -> (
+      match apply_function name [] with
+      | v -> A_then (A_const v, e)
+      | exception Error msg -> A_fail ([ e ], msg)))
 
 let parse src =
-  match
-    let lx = { psrc = src; ppos = 0; ptok = P_end } in
-    pnext_token lx;
-    let a = p_ternary lx in
-    match lx.ptok with
-    | P_end -> a
-    | _ -> error "extra tokens at end of expression %S" src
-  with
-  | a -> Stdlib.Ok a
-  | exception Error msg -> Stdlib.Error msg
+  let lx = { psrc = src; ppos = 0; ptok = P_end } in
+  lex_next lx;
+  let a = p_ternary lx in
+  match lx.ptok with
+  | P_end -> a
+  | P_stop msg -> ( match a with A_fail _ -> a | _ -> A_fail ([ a ], msg))
+  | _ ->
+    stop lx [ a ] (Printf.sprintf "extra tokens at end of expression %S" src)
 
-(* Evaluation order matches the interleaved evaluator: left to right in
-   lexical order, with &&, || and ?: short-circuiting (the dead branch's
-   substitutions never run, just as the reference suppresses them in skip
-   mode). *)
 let rec eval_ast env a =
   match a with
   | A_const v -> v
@@ -948,8 +669,15 @@ let rec eval_ast env a =
   | A_ternary (c, t, f) ->
     if truthy (eval_ast env c) then eval_ast env t else eval_ast env f
   | A_func (name, args) ->
-    (* Arguments substitute in lexical order, like the reference. *)
+    (* Arguments substitute in lexical order. *)
     let vals =
       List.rev (List.fold_left (fun acc x -> eval_ast env x :: acc) [] args)
     in
     apply_function name vals
+  | A_then (x, y) ->
+    let v = eval_ast env x in
+    ignore (eval_ast env y);
+    v
+  | A_fail (pre, msg) ->
+    List.iter (fun x -> ignore (eval_ast env x)) pre;
+    raise (Error msg)

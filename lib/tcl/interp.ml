@@ -303,10 +303,7 @@ and script_entry = {
 }
 
 and expr_entry = {
-  east : Expr.ast option;
-      (* None: the pure parser rejected it — always fall back to the
-         interleaved evaluator, which reproduces mid-substitution
-         side effects before the syntax error *)
+  east : Expr.ast;
   mutable e_tick : int;
 }
 
@@ -844,9 +841,7 @@ let cached_expr_ast t src =
        if evict_oldest t.expr_cache (fun e -> e.e_tick) then
          t.stats.expr_evictions <- t.stats.expr_evictions + 1);
     t.stats.expr_compiles <- t.stats.expr_compiles + 1;
-    let east =
-      match Expr.parse src with Ok a -> Some a | Error _ -> None
-    in
+    let east = Expr.parse src in
     Hashtbl.add t.expr_cache src { east; e_tick = bump_tick t };
     east
 
@@ -1655,10 +1650,9 @@ and vexpr_cmd_operand t code =
   end
 
 (* Mirror of Expr.eval_ast over the lowered expression IR. The numeric
-   rep cached on a Tval cell feeds operators directly; the string parse
-   it replaces (Tval.parse_num) is the same trim + int_of_string_opt /
-   float_of_string_opt sequence as Expr.number_of_string, so the typed
-   path cannot disagree with the reference's operand_value. *)
+   rep cached on a Tval cell feeds operators directly; it comes from
+   Tval.parse_num, which Expr.number_of_string is defined by, so the
+   typed path cannot disagree with the reference's operand_value. *)
 and eval_vexpr t (e : frame Vm.vexpr) : Expr.value =
   match e with
   | Vm.Xconst v -> v
@@ -2440,17 +2434,13 @@ let expr_env t =
         | _, msg -> raise (Expr.Error msg));
   }
 
-(* Evaluate an expression through the AST cache when compilation is on.
-   Unparseable strings (None entries) always take the interleaved
-   evaluator, which reproduces partial-substitution side effects before
-   the syntax error. *)
+(* Evaluate an expression through the AST cache when compilation is on;
+   the reference tier parses afresh every time. *)
 let eval_expr t src =
-  let env = expr_env t in
-  if t.compile_enabled then
-    match cached_expr_ast t src with
-    | Some ast -> Expr.eval_ast env ast
-    | None -> Expr.eval env src
-  else Expr.eval env src
+  let ast =
+    if t.compile_enabled then cached_expr_ast t src else Expr.parse src
+  in
+  Expr.eval_ast (expr_env t) ast
 
 let eval_expr_string t src = Expr.to_string (eval_expr t src)
 

@@ -510,8 +510,8 @@ let expr_ast_of (c : Compile.command) =
     match pieces [] args with
     | Some ps -> (
       match Expr.parse (String.concat " " ps) with
-      | Ok ast -> Some ast
-      | Error _ -> None)
+      | Expr.A_fail _ -> None
+      | ast -> Some ast)
     | None -> None)
   | _ -> None
 
@@ -806,8 +806,8 @@ and fold_condition ctx usrc origin ?(effects = ref false) wc cmd i =
   | Some s -> (
     let off = origin + word_off cmd i in
     match Expr.parse s with
-    | Error _ -> None
-    | Ok ast -> (
+    | Expr.A_fail _ -> None
+    | ast -> (
       let hooks =
         {
           Absint.lookup = (fun u -> kind_get wc u);
@@ -1535,8 +1535,8 @@ and apply_effects ctx usrc origin wc cmd name =
       match lits 1 [] with
       | Some parts -> (
         match Expr.parse (String.concat " " parts) with
-        | Error _ -> ()
-        | Ok ast -> (
+        | Expr.A_fail _ -> ()
+        | ast -> (
           let hooks =
             {
               Absint.lookup = (fun u -> kind_get wc u);

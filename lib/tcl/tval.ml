@@ -48,7 +48,7 @@ let to_string t =
     t.s <- Some s;
     s
 
-(* Must match Expr.number_of_string: trim, try int, then float. *)
+(* Trim, try int, then float. Expr.number_of_string is this parse. *)
 let parse_num s =
   let s' = String.trim s in
   if s' = "" then Nnone

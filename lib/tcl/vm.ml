@@ -251,8 +251,8 @@ and lower_named st c name rest =
     match all_lits rest with
     | Some args -> (
       match Expr.parse (String.concat " " args) with
-      | Stdlib.Ok ast -> Iexpr { e = lower_ast st ast; slow = slow_of st c }
-      | Stdlib.Error _ -> ivk ())
+      | Expr.A_fail _ -> ivk ()
+      | ast -> Iexpr { e = lower_ast st ast; slow = slow_of st c })
     | None -> ivk ())
   | "if", _ -> (
     match all_lits rest with
@@ -262,20 +262,21 @@ and lower_named st c name rest =
     match (lit cond, lit body) with
     | Some cond, Some body -> (
       match Expr.parse cond with
-      | Stdlib.Ok ast ->
+      | Expr.A_fail _ -> ivk ()
+      | ast ->
         Iwhile
           {
             cond = lower_ast st ast;
             body = lower_body st body;
             slow = slow_of st c;
-          }
-      | Stdlib.Error _ -> ivk ())
+          })
     | _ -> ivk ())
   | "for", [ init; cond; next; body ] -> (
     match (lit init, lit cond, lit next, lit body) with
     | Some init, Some cond, Some next, Some body -> (
       match Expr.parse cond with
-      | Stdlib.Ok ast ->
+      | Expr.A_fail _ -> ivk ()
+      | ast ->
         Ifor
           {
             init = lower_body st init;
@@ -283,8 +284,7 @@ and lower_named st c name rest =
             next = lower_body st next;
             body = lower_body st body;
             slow = slow_of st c;
-          }
-      | Stdlib.Error _ -> ivk ())
+          })
     | _ -> ivk ())
   | "foreach", [ var; lst; body ] -> (
     match (lit var, lit body) with
@@ -328,8 +328,8 @@ and lower_if st slow ws ivk =
       match rest with
       | body :: rest -> (
         match Expr.parse cond with
-        | Stdlib.Error _ -> None
-        | Stdlib.Ok ast ->
+        | Expr.A_fail _ -> None
+        | ast ->
           tail ((lower_ast st ast, lower_body st body) :: acc) rest)
       | [] -> None)
     | [] -> None
@@ -362,6 +362,8 @@ and lower_ast st (a : Expr.ast) =
   | Expr.A_ternary (c, a, b) ->
     Xternary (lower_ast st c, lower_ast st a, lower_ast st b)
   | Expr.A_func (name, args) -> Xfunc (name, List.map (lower_ast st) args)
+  | Expr.A_then _ | Expr.A_fail _ ->
+    invalid_arg "Vm.lower_ast: failed parse (its root is A_fail)"
 
 let lower ~compile prog =
   let st =

@@ -133,6 +133,31 @@ let differential_scripts =
     "interp recursionlimit 20; proc down {n} {if {$n == 0} {return done}; \
      down [expr {$n - 1}]}; set a [catch {down 100}]; interp recursionlimit \
      400; list $a [down 100]";
+    (* malformed expressions whose substitutions run before the error *)
+    "set z 0; catch {expr {[incr z] [incr z]}}; set z";
+    "set z 0; catch {expr {\"a\" + 1 [incr z]}}; set z";
+    "set z 0; catch {while {[incr z] <} {}}; set z";
+    "set z 0; list [catch {expr {0 && (1 + [incr z]}} m] $m $z";
+    "set z 0; list [catch {expr {\"abc\" * 2 [incr z]}} m] $m $z";
+    "set z 0; list [catch {if {[incr z] && (} {set x 1}} m] $m $z";
+    "set z 0; list [catch {for {set i 0} {$i < [incr z] [incr z]} {incr i} \
+     {}} m] $m $z";
+    "set z 0; expr {[incr z] + \"q[incr z]\" @}";
+    "set z 0; if {1 || [incr z] (} {set x 1}";
+    "set z 0; set e {[incr z] [incr z]}; list [catch {expr $e} m] $m $z";
+    "proc p {} {set z 0; list [catch {expr {[incr z] [incr z]}} m] $m $z}; p";
+    "proc p {} {set z 0; set r [catch {while {[incr z] < 3 [incr z]} {}} \
+     m]; list $r $m $z}; p";
+    "proc p {} {set z 0; list [catch {if {$z || \"[incr z]} {}} m] $m $z}; p";
+    "proc p {n} {set z 0; list [catch {for {} {[incr z] ? $n :} {} {}} m] \
+     $m $z}; p 1";
+    "proc p {} {set z 0; list [catch {expr {bogus([incr z]) [incr z]}} m] \
+     $m $z}; p";
+    "proc p {} {set z 0; if {[incr z] == 1 [incr z]} {set x 1}}; p";
+    "list [catch {expr {1 << -1}} m] $m [expr {1 << 64}] [expr {-5 >> 70}] \
+     [expr {5 >> 63}] [expr {1 << 62}]";
+    "list [catch {expr {int(1e300)}} m] $m [catch {expr {round(-1e300)}} n] \
+     $n [catch {expr {int(sqrt(-1))}} o] $o";
   ]
 
 let differential_tests =

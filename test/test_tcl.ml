@@ -312,6 +312,40 @@ let expr_tests =
       ("ternary chooses lazily-parsed branch",
        check_eval "expr {1 ? 2 : 3}" "2");
       ("boolean words", check_eval "expr {true && !false}" "1");
+      ("shift count past the width shifts every bit out",
+       check_eval
+         "list [expr {1 << 63}] [expr {1 << 64}] [expr {5 >> 63}] \
+          [expr {-8 >> 70}] [expr {1 << 62}]"
+         "0 0 0 -1 -4611686018427387904");
+      ("negative shift count is an error",
+       fun () ->
+         List.iter
+           (fun e ->
+             Alcotest.(check string) e "negative shift argument"
+               (expect_error (new_interp ()) e))
+           [ "expr {1 << -1}"; "expr {8 >> -1}" ]);
+      ("int and round of a float that fits",
+       check_eval "list [expr {int(-1e18)}] [expr {round(2.5e17)}]"
+         "-1000000000000000000 250000000000000000");
+      ("int and round of a float that does not fit",
+       fun () ->
+         List.iter
+           (fun (e, msg) ->
+             Alcotest.(check string) e msg (expect_error (new_interp ()) e))
+           [
+             ("expr {int(1e300)}", "integer value too large to represent");
+             ("expr {round(-1e300)}", "integer value too large to represent");
+             ("expr {int(exp(1000))}", "integer value too large to represent");
+             ("expr {round(4611686018427387904.0)}",
+              "integer value too large to represent");
+             ("expr {int(sqrt(-1))}", "domain error: argument not in valid range");
+           ]);
+      ("substitutions before a syntax error run once",
+       check_eval
+         "set z 0; catch {expr {[incr z] [incr z]}}; set a $z; set z 0; \
+          catch {expr {\"a\" + 1 [incr z]}}; set b $z; set z 0; \
+          catch {while {[incr z] <} {}}; list $a $b $z"
+         "2 1 1");
     ]
 
 (* ------------------------------------------------------------------ *)
