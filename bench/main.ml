@@ -911,7 +911,10 @@ let lint_section ~smoke =
    with the spatial index ablated (-no-canvas-index path) for contrast.
    The claim is that the move-one and find columns stay roughly flat under
    the grid index while the ablation shows the linear cliff; "considered"
-   is how many items the damaged repaint sweep actually touched. *)
+   is how many items the damaged repaint sweep actually touched, and
+   "full drawn" how many items one full redraw draws — the items the
+   300x200 window shows, a count set by the item density rather than the
+   item count. *)
 
 type canvas_row = {
   cv_n : int;
@@ -922,6 +925,7 @@ type canvas_row = {
   cv_find_us : float; (* find overlapping, small query rect *)
   cv_full_redraw_ms : float; (* schedule_redraw + sweep, whole store *)
   cv_considered : int; (* items considered per damaged sweep *)
+  cv_full_drawn : int; (* items drawn per full redraw *)
 }
 
 let canvas_case ~indexed n =
@@ -1008,10 +1012,16 @@ let canvas_case ~indexed n =
           ignore (run_tcl app ".c find overlapping 500 500 540 540")
         done)
   in
+  let drawn0 = metric "tk.canvas.items_drawn" in
+  let full0 = metric "tk.canvas.full_redraws" in
   let full_s =
     time_min ~reps:3 (fun () ->
         Tk.Core.schedule_redraw (Tk.Core.lookup_exn app ".c");
         Tk.Core.update app)
+  in
+  let full_drawn =
+    (metric "tk.canvas.items_drawn" - drawn0)
+    / max 1 (metric "tk.canvas.full_redraws" - full0)
   in
   {
     cv_n = n;
@@ -1022,6 +1032,7 @@ let canvas_case ~indexed n =
     cv_find_us = find_s *. 1e6 /. float_of_int find_reps;
     cv_full_redraw_ms = full_s *. 1e3;
     cv_considered = considered;
+    cv_full_drawn = full_drawn;
   }
 
 let collect_canvas_cases ~smoke =
@@ -1032,15 +1043,16 @@ let collect_canvas_cases ~smoke =
 
 let canvas_sweep () =
   section "Canvas at scale: grid index + damage-region redraw";
-  Printf.printf "%8s %6s %11s %11s %13s %11s %13s %11s\n" "items" "index"
-    "create/it" "move-one" "move-tag/it" "find-over" "full redraw" "considered";
+  Printf.printf "%8s %6s %11s %11s %13s %11s %13s %11s %11s\n" "items"
+    "index" "create/it" "move-one" "move-tag/it" "find-over" "full redraw"
+    "considered" "full drawn";
   List.iter
     (fun r ->
       Printf.printf
-        "%8d %6s %9.2fus %9.2fus %11.2fus %9.2fus %11.2fms %11d\n" r.cv_n
+        "%8d %6s %9.2fus %9.2fus %11.2fus %9.2fus %11.2fms %11d %11d\n" r.cv_n
         (if r.cv_indexed then "on" else "off")
         r.cv_create_us r.cv_move_one_us r.cv_move_tag_us r.cv_find_us
-        r.cv_full_redraw_ms r.cv_considered)
+        r.cv_full_redraw_ms r.cv_considered r.cv_full_drawn)
     (collect_canvas_cases ~smoke:false)
 
 (* ------------------------------------------------------------------ *)
@@ -1322,6 +1334,7 @@ let emit_json ~path ~smoke =
                      ("find_overlapping_us", J_float r.cv_find_us);
                      ("full_redraw_ms", J_float r.cv_full_redraw_ms);
                      ("damaged_sweep_items_considered", J_int r.cv_considered);
+                     ("full_redraw_items_drawn", J_int r.cv_full_drawn);
                    ])
                canvas_cases) );
         ("scripts", J_list scripts);

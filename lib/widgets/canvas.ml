@@ -5,7 +5,9 @@
      every id lookup is O(1) (no list walk, no per-item re-parse);
    - each item caches its bounding box, and a loose uniform grid over the
      bboxes answers find overlapping/enclosed/closest and the repaint
-     exposure query in O(candidates) instead of O(items);
+     exposure query in O(candidates) instead of O(items); grid cells hold
+     the items themselves, and a per-query stamp on each item dedupes
+     candidates, so a query allocates nothing per candidate;
    - tags are doubly indexed (id→tags, tag→id-set), so bulk verbs
      (move/delete/itemconfigure/... <tag>) touch only matching items;
    - display order is a per-item monotonic z-serial, which doubles as the
@@ -15,9 +17,17 @@
      anything else;
    - edits mark items dirty and accumulate damage (Tk.Core.schedule_damage);
      the idle-time partial repaint re-emits only dirty items inside the
-     damage clip, found through the index. Because the rasterizer paints
-     keys in ascending order, the retained op store after a partial repaint
-     is byte-identical to what a full redraw would leave.
+     damage clip, found through the index;
+   - a full redraw is the same repaint walk with the whole window as the
+     clip: it draws only the visible items, those whose bbox padded by
+     one raster cell meets the window, however many sit off-window.
+
+   The invariant: after any repaint, the window's keyed op store holds ops
+   for exactly the visible items (an edit that takes a drawn item off the
+   window queues its key for clearing, since no repaint finds it again).
+   Because the rasterizer paints keys in ascending order, the retained op
+   store after a partial repaint is then byte-identical to what a full
+   redraw would leave.
 
    The [tk.canvas.*] counters in xstat expose the index hit rates and the
    considered/drawn split; `wish -no-canvas-index` (Canvas.set_index_enabled)
@@ -40,10 +50,11 @@ type item = {
   mutable zserial : int; (* display order: ascending = towards the top *)
   mutable bbox : Geom.rect; (* cached, derived from coords/text/font *)
   mutable dirty : bool; (* retained ops stale; re-emit on next repaint *)
+  mutable stamp : int; (* last spatial query that reported this item *)
 }
 
-(* The loose uniform grid: cell -> ids of items whose bbox overlaps the
-   cell. Items spanning more than [grid_max_cells] cells go to the [big]
+(* The loose uniform grid: cell -> items whose bbox overlaps the cell.
+   Items spanning more than [grid_max_cells] cells go to the [big]
    overflow set instead (scanned on every query), so a screen-sized
    backdrop doesn't occupy thousands of cells. *)
 let grid_cell = 64
@@ -55,8 +66,9 @@ type state = {
   mutable len : int;
   index_of_id : (int, int) Hashtbl.t; (* id -> slot *)
   tag_index : (string, (int, unit) Hashtbl.t) Hashtbl.t;
-  grid : (int * int, int list ref) Hashtbl.t;
-  big : (int, unit) Hashtbl.t;
+  grid : (int * int, item list ref) Hashtbl.t;
+  big : (int, item) Hashtbl.t; (* id -> item *)
+  mutable query_stamp : int; (* bumped per query; dedupes grid candidates *)
   mutable next_id : int;
   mutable next_top : int; (* serial for the next item placed on top *)
   mutable next_bottom : int; (* serial for the next item sent to bottom *)
@@ -78,6 +90,7 @@ let new_state () =
     tag_index = Hashtbl.create 16;
     grid = Hashtbl.create 64;
     big = Hashtbl.create 8;
+    query_stamp = 0;
     next_id = 1;
     next_top = 1;
     next_bottom = 0;
@@ -105,6 +118,11 @@ let live_items s =
   let rec go acc i = if i < 0 then acc else go (get s i :: acc) (i - 1) in
   go [] (s.len - 1)
 
+let iter_items s f =
+  for i = 0 to s.len - 1 do
+    f (get s i)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Parsing helpers *)
 
@@ -126,13 +144,13 @@ let item_bbox w it =
   | Line | Rectangle ->
     let x1 = it.coords.(0) and y1 = it.coords.(1) in
     let x2 = it.coords.(2) and y2 = it.coords.(3) in
-    Geom.rect ~x:(min x1 x2) ~y:(min y1 y2)
+    Geom.rect ~x:(Geom.imin x1 x2) ~y:(Geom.imin y1 y2)
       ~width:(abs (x2 - x1) + 1)
       ~height:(abs (y2 - y1) + 1)
   | Text_item ->
     (* [coords] is the baseline origin; cover the glyph box. *)
     let f = Wutil.widget_font w in
-    let width = max 1 (Font.text_width f it.text) in
+    let width = Geom.imax 1 (Font.text_width f it.text) in
     Geom.rect ~x:it.coords.(0)
       ~y:(it.coords.(1) - f.Font.ascent)
       ~width
@@ -141,6 +159,18 @@ let item_bbox w it =
 (* Damage is padded by one raster cell on every side, so cell-quantized
    rendering (text rows, line endpoints) can never out-paint the clip. *)
 let damage_pad r = Geom.inflate r ~dx:Raster.scale_x ~dy:Raster.scale_y
+
+let window_rect w =
+  Geom.rect ~x:0 ~y:0 ~width:w.Tk.Core.width ~height:w.Tk.Core.height
+
+(* An item is visible when its padded bbox meets the window: exactly the
+   items that have ops in the window's keyed store after a repaint. *)
+let visible w bbox = Geom.intersects (damage_pad bbox) (window_rect w)
+
+(* Queue the key of the ops [it] drew under [bbox] for clearing at the
+   next repaint; an item that was not visible has none. *)
+let drop_ops w s it ~bbox =
+  if visible w bbox then s.dead_keys <- it.zserial :: s.dead_keys
 
 (* ------------------------------------------------------------------ *)
 (* Spatial index: loose uniform grid over cached bboxes *)
@@ -157,55 +187,62 @@ let grid_insert s it =
   if s.use_index then begin
     let cx0, cy0, cx1, cy1 = cell_range it.bbox in
     if (cx1 - cx0 + 1) * (cy1 - cy0 + 1) > grid_max_cells then
-      Hashtbl.replace s.big it.iid ()
+      Hashtbl.replace s.big it.iid it
     else
       for cx = cx0 to cx1 do
         for cy = cy0 to cy1 do
           match Hashtbl.find_opt s.grid (cx, cy) with
-          | Some ids -> ids := it.iid :: !ids
-          | None -> Hashtbl.replace s.grid (cx, cy) (ref [ it.iid ])
+          | Some items -> items := it :: !items
+          | None -> Hashtbl.replace s.grid (cx, cy) (ref [ it ])
         done
       done
   end
 
-let grid_remove s it =
+(* A cell lists an item at most once. Copying only the prefix before it
+   keeps re-filing a just-moved item (at the head of its cells) cheap. *)
+let rec without it = function
+  | [] -> []
+  | other :: rest -> if other == it then rest else other :: without it rest
+
+(* [bbox] is the one [it] was inserted under (its cached bbox may already
+   hold the new one). *)
+let grid_remove s it bbox =
   if s.use_index then begin
     if Hashtbl.mem s.big it.iid then Hashtbl.remove s.big it.iid
     else begin
-      let cx0, cy0, cx1, cy1 = cell_range it.bbox in
+      let cx0, cy0, cx1, cy1 = cell_range bbox in
       for cx = cx0 to cx1 do
         for cy = cy0 to cy1 do
           match Hashtbl.find_opt s.grid (cx, cy) with
-          | Some ids ->
-            ids := List.filter (fun id -> id <> it.iid) !ids;
-            if !ids = [] then Hashtbl.remove s.grid (cx, cy)
+          | Some items ->
+            items := without it !items;
+            if !items = [] then Hashtbl.remove s.grid (cx, cy)
           | None -> ()
         done
       done
     end
   end
 
-(* Items whose bbox intersects [r], via the grid (or a linear scan when the
-   index is ablated). Unsorted. *)
-let query_rect w s r =
+(* Calls [f] once on every item whose bbox intersects [r], via the grid (or
+   a linear scan when the index is ablated), in no particular order. A
+   candidate listed in several cells is reported once: each query takes a
+   fresh stamp and marks the items it reports with it, so the walk
+   allocates nothing per candidate. [f] must not start another query. *)
+let iter_rect w s r f =
   let m = metrics w in
   if not s.use_index then begin
     m.Tk.Metrics.canvas_linear_scans <- m.Tk.Metrics.canvas_linear_scans + 1;
-    List.filter (fun it -> Geom.intersect it.bbox r <> None) (live_items s)
+    iter_items s (fun it -> if Geom.intersects it.bbox r then f it)
   end
   else begin
     m.Tk.Metrics.canvas_index_queries <- m.Tk.Metrics.canvas_index_queries + 1;
-    let seen = Hashtbl.create 32 in
-    let out = ref [] in
-    let consider id =
-      if not (Hashtbl.mem seen id) then begin
-        Hashtbl.replace seen id ();
+    s.query_stamp <- s.query_stamp + 1;
+    let stamp = s.query_stamp in
+    let consider it =
+      if it.stamp <> stamp then begin
+        it.stamp <- stamp;
         m.Tk.Metrics.canvas_index_hits <- m.Tk.Metrics.canvas_index_hits + 1;
-        match Hashtbl.find_opt s.index_of_id id with
-        | Some slot ->
-          let it = get s slot in
-          if Geom.intersect it.bbox r <> None then out := it :: !out
-        | None -> ()
+        if Geom.intersects it.bbox r then f it
       end
     in
     let cx0, cy0, cx1, cy1 = cell_range r in
@@ -214,62 +251,68 @@ let query_rect w s r =
       (* Huge query (find all-scale rects): walking the occupied cells is
          cheaper than enumerating the range. *)
       Hashtbl.iter
-        (fun (cx, cy) ids ->
+        (fun (cx, cy) items ->
           if cx >= cx0 && cx <= cx1 && cy >= cy0 && cy <= cy1 then
-            List.iter consider !ids)
+            List.iter consider !items)
         s.grid
     else
       for cx = cx0 to cx1 do
         for cy = cy0 to cy1 do
           match Hashtbl.find_opt s.grid (cx, cy) with
-          | Some ids -> List.iter consider !ids
+          | Some items -> List.iter consider !items
           | None -> ()
         done
       done;
-    Hashtbl.iter (fun id () -> consider id) s.big;
-    !out
+    Hashtbl.iter (fun _ it -> consider it) s.big
   end
+
+let query_rect w s r =
+  let out = ref [] in
+  iter_rect w s r (fun it -> out := it :: !out);
+  !out
 
 (* L∞ distance from a point to a bbox (0 inside). *)
 let linf_dist r px py =
   let dx =
-    max 0 (max (r.Geom.rx - px) (px - (r.Geom.rx + r.Geom.rwidth - 1)))
+    Geom.imax 0
+      (Geom.imax (r.Geom.rx - px) (px - (r.Geom.rx + r.Geom.rwidth - 1)))
   in
   let dy =
-    max 0 (max (r.Geom.ry - py) (py - (r.Geom.ry + r.Geom.rheight - 1)))
+    Geom.imax 0
+      (Geom.imax (r.Geom.ry - py) (py - (r.Geom.ry + r.Geom.rheight - 1)))
   in
-  max dx dy
+  Geom.imax dx dy
 
-(* Best = smallest halo-adjusted distance, topmost (highest z) among ties. *)
-let closest_of candidates ~px ~py ~halo =
-  List.fold_left
-    (fun best it ->
-      let d = max 0 (linf_dist it.bbox px py - halo) in
-      match best with
-      | Some (bd, bit)
-        when bd < d || (bd = d && bit.zserial > it.zserial) ->
-        best
-      | _ -> Some (d, it))
-    None candidates
+(* The closest item [iter] reports — smallest halo-adjusted distance,
+   topmost (highest z) among ties — with that distance and the number of
+   items [iter] reported. *)
+let closest_of iter ~px ~py ~halo =
+  let best = ref None and best_d = ref max_int and seen = ref 0 in
+  iter (fun it ->
+      incr seen;
+      let d = Geom.imax 0 (linf_dist it.bbox px py - halo) in
+      match !best with
+      | Some b when !best_d < d || (!best_d = d && b.zserial > it.zserial) -> ()
+      | _ ->
+        best := Some it;
+        best_d := d);
+  (!best, !best_d, !seen)
 
 let find_closest w s ~px ~py ~halo =
   if not s.use_index then
-    Option.map snd (closest_of (live_items s) ~px ~py ~halo)
+    let best, _, _ = closest_of (iter_items s) ~px ~py ~halo in
+    best
   else begin
     let total = s.len in
     let rec expand r =
       let square =
         Geom.rect ~x:(px - r) ~y:(py - r) ~width:(2 * r) ~height:(2 * r)
       in
-      let candidates = query_rect w s square in
-      let best = closest_of candidates ~px ~py ~halo in
-      match best with
+      match closest_of (iter_rect w s square) ~px ~py ~halo with
       (* Anything outside the square is strictly farther than [r - halo]
          (adjusted), so a best within that bound is globally best. *)
-      | Some (d, it) when d < r - halo -> Some it
-      | _ ->
-        if List.length candidates = total then Option.map snd best
-        else expand (r * 2)
+      | (Some _ as best), d, _ when d < r - halo -> best
+      | best, _, seen -> if seen = total then best else expand (r * 2)
     in
     if total = 0 then None else expand grid_cell
   end
@@ -363,7 +406,7 @@ let add_item s it =
 
 (* Swap-remove keeps the store dense; only the moved slot's index entry
    needs updating. *)
-let remove_item s it =
+let remove_item w s it =
   (match Hashtbl.find_opt s.index_of_id it.iid with
   | None -> ()
   | Some slot ->
@@ -374,9 +417,9 @@ let remove_item s it =
     Hashtbl.replace s.index_of_id moved.iid slot;
     Hashtbl.remove s.index_of_id it.iid;
     s.len <- s.len - 1);
-  grid_remove s it;
+  grid_remove s it it.bbox;
   set_tags s it [];
-  s.dead_keys <- it.zserial :: s.dead_keys
+  drop_ops w s it ~bbox:it.bbox
 
 (* ------------------------------------------------------------------ *)
 (* Drawing: each item's ops live under its z-serial in the keyed store *)
@@ -387,12 +430,23 @@ let bg_key = min_int
 
 let relief_key = min_int + 1
 
-let emit_item w it =
+(* A repaint's GC lookup: each color goes through the resource cache once
+   per walk (a lookup formats and hashes a key), not once per item. *)
+let gc_memo w =
+  let memo = ref [] in
+  fun color ->
+    match List.assoc_opt color !memo with
+    | Some gc -> gc
+    | None ->
+      let gc = Tk.Core.widget_gc w ~fg:color ~font:"-font" () in
+      memo := (color, gc) :: !memo;
+      gc
+
+let emit_item w gc it =
   let app = w.Tk.Core.app in
   let conn = app.Tk.Core.conn in
   let win = w.Tk.Core.win in
   let key = it.zserial in
-  let gc color = Tk.Core.widget_gc w ~fg:color ~font:"-font" () in
   match it.kind with
   | Line ->
     if it.fill <> "" then
@@ -402,8 +456,8 @@ let emit_item w it =
     let x1 = it.coords.(0) and y1 = it.coords.(1) in
     let x2 = it.coords.(2) and y2 = it.coords.(3) in
     let rect =
-      Geom.rect ~x:(min x1 x2) ~y:(min y1 y2) ~width:(abs (x2 - x1))
-        ~height:(abs (y2 - y1))
+      Geom.rect ~x:(Geom.imin x1 x2) ~y:(Geom.imin y1 y2)
+        ~width:(abs (x2 - x1)) ~height:(abs (y2 - y1))
     in
     if it.fill <> "" then Server.fill_rect ~key conn win (gc it.fill) rect;
     if it.outline <> "" then
@@ -418,8 +472,26 @@ let clear_dead_keys w s =
   List.iter (fun k -> Server.clear_keyed conn w.Tk.Core.win k) s.dead_keys;
   s.dead_keys <- []
 
+(* The one repaint walk: every visible item meeting [clip] is considered
+   (found through the index), and with [all] every one of them, otherwise
+   only the dirty ones, re-emits its ops. *)
+let repaint w s clip ~all =
+  let m = metrics w in
+  let conn = w.Tk.Core.app.Tk.Core.conn in
+  let gc = gc_memo w in
+  iter_rect w s (damage_pad clip) (fun it ->
+      m.Tk.Metrics.canvas_items_considered <-
+        m.Tk.Metrics.canvas_items_considered + 1;
+      if all || it.dirty then begin
+        if not all then Server.clear_keyed conn w.Tk.Core.win it.zserial;
+        emit_item w gc it;
+        it.dirty <- false;
+        m.Tk.Metrics.canvas_items_drawn <- m.Tk.Metrics.canvas_items_drawn + 1
+      end)
+
 (* Full redraw (class display hook; the core has already cleared the
-   window, which also dropped any dead keys). *)
+   window, which also dropped any dead keys): the window is the clip, so
+   off-window items emit nothing. *)
 let display w =
   let s = data w in
   let m = metrics w in
@@ -427,45 +499,28 @@ let display w =
   s.dead_keys <- [];
   let gc color = Tk.Core.widget_gc w ~fg:color () in
   let app = w.Tk.Core.app in
+  let wrect = window_rect w in
   Server.fill_rect ~key:bg_key app.Tk.Core.conn w.Tk.Core.win
     (gc (Tk.Core.cget w "-background"))
-    (Geom.rect ~x:0 ~y:0 ~width:w.Tk.Core.width ~height:w.Tk.Core.height);
+    wrect;
   let bw = Tk.Core.get_pixels w "-borderwidth" in
   let relief = Tk.Core.get_relief w "-relief" in
   if bw > 0 && relief <> Tk.Core.Flat then
-    Server.draw_relief ~key:relief_key app.Tk.Core.conn w.Tk.Core.win
-      (Geom.rect ~x:0 ~y:0 ~width:w.Tk.Core.width ~height:w.Tk.Core.height)
+    Server.draw_relief ~key:relief_key app.Tk.Core.conn w.Tk.Core.win wrect
       ~raised:(relief = Tk.Core.Raised) ~width:bw;
-  for i = 0 to s.len - 1 do
-    let it = get s i in
-    m.Tk.Metrics.canvas_items_considered <-
-      m.Tk.Metrics.canvas_items_considered + 1;
-    m.Tk.Metrics.canvas_items_drawn <- m.Tk.Metrics.canvas_items_drawn + 1;
-    emit_item w it;
-    it.dirty <- false
-  done
+  repaint w s wrect ~all:true
 
-(* Partial repaint: only items inside the damage clip are even considered
-   (via the index); only the dirty ones re-emit their ops. Every dirty
-   item is inside the clip by construction — each edit adds its old∪new
-   bbox to the damage the core accumulates. *)
+(* Partial repaint: only visible items meeting the damage clip are even
+   considered; only the dirty ones re-emit their ops. Every visible dirty
+   item meets some clip by construction — each edit adds its padded
+   old∪new bbox to the damage the core accumulates — and an edit that
+   takes a drawn item off the window has queued its key in [dead_keys]. *)
 let display_damaged w clip =
   let s = data w in
   let m = metrics w in
   m.Tk.Metrics.canvas_damage_redraws <- m.Tk.Metrics.canvas_damage_redraws + 1;
   clear_dead_keys w s;
-  let conn = w.Tk.Core.app.Tk.Core.conn in
-  List.iter
-    (fun it ->
-      m.Tk.Metrics.canvas_items_considered <-
-        m.Tk.Metrics.canvas_items_considered + 1;
-      if it.dirty then begin
-        Server.clear_keyed conn w.Tk.Core.win it.zserial;
-        emit_item w it;
-        it.dirty <- false;
-        m.Tk.Metrics.canvas_items_drawn <- m.Tk.Metrics.canvas_items_drawn + 1
-      end)
-    (query_rect w s clip)
+  repaint w s clip ~all:false
 
 (* ------------------------------------------------------------------ *)
 (* Edit plumbing: mark dirty, damage old∪new, keep the index current *)
@@ -475,11 +530,14 @@ let damage_item w it = Tk.Core.schedule_damage w (damage_pad it.bbox)
 let item_changed w s it ~old_bbox =
   let nb = item_bbox w it in
   if nb <> old_bbox then begin
-    grid_remove s { it with bbox = old_bbox };
+    grid_remove s it old_bbox;
     it.bbox <- nb;
     grid_insert s it
   end;
   it.dirty <- true;
+  (* Off the window no repaint finds the item again, so none would clear
+     the ops it left behind. *)
+  if not (visible w nb) then drop_ops w s it ~bbox:old_bbox;
   Tk.Core.schedule_damage w (damage_pad (Geom.union old_bbox nb))
 
 let coord_arity = function Line | Rectangle -> 4 | Text_item -> 2
@@ -556,6 +614,7 @@ let create_item w kind args =
       zserial;
       bbox = Geom.rect ~x:0 ~y:0 ~width:1 ~height:1;
       dirty = true;
+      stamp = 0;
     }
   in
   s.next_id <- s.next_id + 1;
@@ -570,7 +629,7 @@ let create_item w kind args =
 
 let rect_of_corners x1 y1 x2 y2 =
   (* Inclusive area between two corners. *)
-  Geom.rect ~x:(min x1 x2) ~y:(min y1 y2)
+  Geom.rect ~x:(Geom.imin x1 x2) ~y:(Geom.imin y1 y2)
     ~width:(abs (x2 - x1) + 1)
     ~height:(abs (y2 - y1) + 1)
 
@@ -600,7 +659,7 @@ let search w s = function
     let halo =
       match rest with
       | [] -> 0
-      | [ h ] -> max 0 (parse_int h)
+      | [ h ] -> Geom.imax 0 (parse_int h)
       | _ -> failf "wrong # args: should be \"closest x y ?halo?\""
     in
     Option.to_list
@@ -649,7 +708,7 @@ let rec subcommands w words =
       (fun spec ->
         List.iter
           (fun it ->
-            remove_item s it;
+            remove_item w s it;
             Tk.Core.schedule_damage w (damage_pad it.bbox))
           (resolve w s spec))
       specs;
@@ -747,7 +806,7 @@ let rec subcommands w words =
     (* Fresh top serials in relative order: O(moved), not O(items). *)
     List.iter
       (fun it ->
-        s.dead_keys <- it.zserial :: s.dead_keys;
+        drop_ops w s it ~bbox:it.bbox;
         it.zserial <- s.next_top;
         s.next_top <- s.next_top + 1;
         it.dirty <- true;
@@ -757,7 +816,7 @@ let rec subcommands w words =
   | [ _; "lower"; spec ] ->
     List.iter
       (fun it ->
-        s.dead_keys <- it.zserial :: s.dead_keys;
+        drop_ops w s it ~bbox:it.bbox;
         it.zserial <- s.next_bottom;
         s.next_bottom <- s.next_bottom - 1;
         it.dirty <- true;

@@ -24,7 +24,8 @@
     cached bounding boxes; a loose uniform grid over the bboxes serves
     [find] and exposure queries, and edits repaint through the damage
     pipeline ({!Tk.Core.schedule_damage}) — see the [tk.canvas.*]
-    counters. *)
+    counters. Every repaint, full or partial, draws only the items whose
+    bounding box (padded by one raster cell) meets the window. *)
 
 val install : Tk.Core.app -> unit
 

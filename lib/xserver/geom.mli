@@ -18,6 +18,15 @@ val intersect : rect -> rect -> rect option
 (** Intersection, or [None] when the rectangles are disjoint or the result
     would be empty. *)
 
+val intersects : rect -> rect -> bool
+(** [intersects a b] is [intersect a b <> None], without allocating:
+    false whenever either rectangle is empty. *)
+
+val imin : int -> int -> int
+(** Int-typed [min] (no polymorphic compare). *)
+
+val imax : int -> int -> int
+
 val translate : rect -> dx:int -> dy:int -> rect
 
 val union : rect -> rect -> rect

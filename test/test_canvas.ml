@@ -156,14 +156,15 @@ let rtag rng = tag_pool.(Random.State.int rng (Array.length tag_pool))
 let rcolor rng = color_pool.(Random.State.int rng (Array.length color_pool))
 
 (* One random mutating op as a Tcl script. [ids] mirrors the live id set
-   (identical in both apps since the stream is identical). *)
-let random_op rng ids next_id =
+   (identical in both apps since the stream is identical); [away] holds
+   the ±1000 px jumps not yet moved back. *)
+let random_op rng ids next_id away =
   let pick_id () = List.nth !ids (Random.State.int rng (List.length !ids)) in
   let coords4 () =
     Printf.sprintf "%d %d %d %d" (rint rng (-60) 340) (rint rng (-40) 240)
       (rint rng (-60) 340) (rint rng (-40) 240)
   in
-  let choice = if !ids = [] then 0 else Random.State.int rng 10 in
+  let choice = if !ids = [] then 0 else Random.State.int rng 11 in
   match choice with
   | 0 | 1 | 2 -> (
     let id = !next_id in
@@ -205,6 +206,33 @@ let random_op rng ids next_id =
       (rint rng (-20) 20) (rint rng (-20) 20)
       (0.5 +. Random.State.float rng 1.5)
       (0.5 +. Random.State.float rng 1.5)
+  | 10 -> (
+    (* Off the window and back: a jump of about 1000 px in x or y, or the
+       reverse of an earlier jump whose target still exists. *)
+    away :=
+      List.filter
+        (fun (spec, _, _) ->
+          match int_of_string_opt spec with
+          | Some id -> List.mem id !ids
+          | None -> true)
+        !away;
+    match !away with
+    | (spec, dx, dy) :: rest when Random.State.bool rng ->
+      away := rest;
+      Printf.sprintf ".c move %s %d %d" spec (-dx) (-dy)
+    | _ ->
+      let spec =
+        if Random.State.bool rng then string_of_int (pick_id ()) else rtag rng
+      in
+      let far () =
+        (if Random.State.bool rng then 1000 else -1000) + rint rng (-30) 30
+      in
+      let dx, dy =
+        if Random.State.bool rng then (far (), rint rng (-30) 30)
+        else (rint rng (-30) 30, far ())
+      in
+      away := (spec, dx, dy) :: !away;
+      Printf.sprintf ".c move %s %d %d" spec dx dy)
   | _ ->
     (* Relative restack: distinct ids only (self-reference is an error). *)
     let a = pick_id () and b = pick_id () in
@@ -235,20 +263,58 @@ let probe_queries rng =
 
 let canvas_widget app = Tk.Core.lookup_exn app ".c"
 
+(* The canvas window's keyed op store, keys ascending. *)
+let op_store server app =
+  match Server.lookup_window server (canvas_widget app).Tk.Core.win with
+  | None -> Alcotest.fail "canvas window missing"
+  | Some win ->
+    List.sort compare
+      (Hashtbl.fold (fun k ops acc -> (k, ops) :: acc) win.Window.ops [])
+
+(* After partial repaints, the op store and the raster must be what a
+   from-scratch full redraw leaves. Returns the raster. *)
+let check_damage_equals_full ~label server app =
+  let damaged = Raster.render server () in
+  let damaged_ops = op_store server app in
+  Tk.Core.schedule_redraw (canvas_widget app);
+  Tk.Core.update app;
+  check_bool (label ^ ": damage op store = full") true
+    (damaged_ops = op_store server app);
+  check_string (label ^ ": damage raster = full") (Raster.render server ())
+    damaged;
+  damaged
+
+(* Window sizes applied mid-run: a shrink, then an enlargement that shows
+   items the smaller window left off. *)
+let resizes = [ (9, "-width 240 -height 150"); (17, "-width 360 -height 260") ]
+
 (* Drive [rounds] batches; on each batch apply the same random ops to both
    apps, drain (partial repaint path), and compare every probe; then force
-   a full redraw on the indexed app and require the raster output to be
-   byte-identical to what the damage path left. Returns a transcript for
-   the two-run identity check. *)
+   a full redraw on each app and require its op store and raster output to
+   be identical to what the damage path left. Returns a transcript for the
+   two-run identity check. *)
 let differential_run () =
   let rng = Random.State.make [| seed |] in
   let server_i, app_i = canvas_app ~indexed:true ~name:"cv-index" () in
-  let _server_l, app_l = canvas_app ~indexed:false ~name:"cv-linear" () in
-  let ids = ref [] and next_id = ref 1 in
+  let server_l, app_l = canvas_app ~indexed:false ~name:"cv-linear" () in
+  let ids = ref [] and next_id = ref 1 and away = ref [] in
   let transcript = Buffer.create 4096 in
   for round = 1 to 25 do
+    (match List.assoc_opt round resizes with
+    | Some size ->
+      let op = ".c configure " ^ size in
+      Buffer.add_string transcript (op ^ "\n");
+      List.iter
+        (fun app ->
+          ignore (run app op);
+          Tk.Core.update app;
+          check_string (op ^ ": window resized")
+            (List.nth (String.split_on_char ' ' size) 1)
+            (run app "winfo width .c"))
+        [ app_i; app_l ]
+    | None -> ());
     for _ = 1 to 8 do
-      let op = random_op rng ids next_id in
+      let op = random_op rng ids next_id away in
       Buffer.add_string transcript (op ^ "\n");
       let ri = run app_i op and rl = run app_l op in
       check_string ("op result: " ^ op) rl ri
@@ -275,13 +341,10 @@ let differential_run () =
     Tk.Core.update app_i;
     Tk.Core.update app_l;
     (* Damage vs full: the keyed op store after partial repaints must be
-       indistinguishable from a from-scratch redraw. *)
-    let damaged = Raster.render server_i () in
-    Tk.Core.schedule_redraw (canvas_widget app_i);
-    Tk.Core.update app_i;
-    let full = Raster.render server_i () in
-    check_string (Printf.sprintf "round %d: damage raster = full" round) full
-      damaged;
+       indistinguishable from a from-scratch redraw, on both apps. *)
+    let label = Printf.sprintf "round %d" round in
+    let damaged = check_damage_equals_full ~label server_i app_i in
+    ignore (check_damage_equals_full ~label:(label ^ " linear") server_l app_l);
     Buffer.add_string transcript damaged
   done;
   (* Tag-index consistency, both directions, through the Tcl surface. *)
@@ -380,6 +443,91 @@ let counter_tests =
           (metric app "tk.damage.deopt_full" > deopt_before) );
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Visible clip: the op store holds exactly the items whose padded bbox
+   meets the window *)
+
+let id_count ids =
+  List.length (List.filter (fun s -> s <> "") (String.split_on_char ' ' ids))
+
+(* Items whose bbox, padded by one raster cell, meets the window. *)
+let visible_count app =
+  let width = int_of_string (run app "winfo width .c")
+  and height = int_of_string (run app "winfo height .c") in
+  id_count
+    (run app
+       (Printf.sprintf ".c find overlapping %d %d %d %d" (-Raster.scale_x)
+          (-Raster.scale_y)
+          (width + Raster.scale_x - 1)
+          (height + Raster.scale_y - 1)))
+
+let visible_tests =
+  [
+    ( "an item moved wholly off the window leaves no ghost (move, coords, \
+       scale)",
+      fun () ->
+        List.iter
+          (fun edit ->
+            let server, app = canvas_app () in
+            let blank = Raster.render server () in
+            ignore (run app ".c create rectangle 10 10 20 20 -fill black");
+            Tk.Core.update app;
+            check_bool "drawn" true (Raster.render server () <> blank);
+            let full_before = metric app "tk.canvas.full_redraws" in
+            ignore (run app edit);
+            Tk.Core.update app;
+            check_bool (edit ^ ": took the partial repaint") true
+              (metric app "tk.canvas.full_redraws" = full_before);
+            check_string (edit ^ ": nothing left on screen") blank
+              (Raster.render server ());
+            ignore (check_damage_equals_full ~label:edit server app))
+          [ ".c move 1 1000 0"; ".c coords 1 1000 10 1010 20";
+            ".c scale 1 0 0 100 1" ] );
+    ( "a full redraw draws only the visible items",
+      fun () ->
+        List.iter
+          (fun indexed ->
+            let _, app = canvas_app ~indexed () in
+            (* 2000 items over a 3000x2000 plane; the window shows ~1%. *)
+            ignore
+              (run app
+                 "for {set i 0} {$i < 2000} {incr i} { .c create rectangle \
+                  [expr ($i*37)%3000] [expr ($i*53)%2000] \
+                  [expr ($i*37)%3000+8] [expr ($i*53)%2000+6] }");
+            Tk.Core.update app;
+            let visible = visible_count app in
+            check_bool
+              (Printf.sprintf "%d of 2000 items visible" visible)
+              true
+              (visible > 0 && visible < 100);
+            let drawn_before = metric app "tk.canvas.items_drawn" in
+            let full_before = metric app "tk.canvas.full_redraws" in
+            Tk.Core.schedule_redraw (canvas_widget app);
+            Tk.Core.update app;
+            check_bool "one full redraw" true
+              (metric app "tk.canvas.full_redraws" = full_before + 1);
+            let drawn = metric app "tk.canvas.items_drawn" - drawn_before in
+            check_bool
+              (Printf.sprintf "drew %d, %d visible (index %b)" drawn visible
+                 indexed)
+              true (drawn <= visible))
+          [ true; false ] );
+    ( "enlarging the window shows items that were off-window",
+      fun () ->
+        let server, app = canvas_app () in
+        ignore (run app ".c create rectangle 400 240 460 290 -fill black");
+        Tk.Core.update app;
+        check_bool "off-window item not drawn" false
+          (String.contains (Raster.render server ()) '#');
+        check_string "nothing visible" "0" (string_of_int (visible_count app));
+        ignore (run app ".c configure -width 500 -height 300");
+        Tk.Core.update app;
+        check_string "window grew" "500" (run app "winfo width .c");
+        check_bool "item drawn after enlarging" true
+          (String.contains (Raster.render server ()) '#');
+        ignore (check_damage_equals_full ~label:"enlarged" server app) );
+  ]
+
 let () =
   Alcotest.run "canvas"
     [
@@ -387,4 +535,5 @@ let () =
       ( "differential",
         List.map (fun (n, f) -> Alcotest.test_case n `Quick f) differential_tests );
       ("counters", List.map (fun (n, f) -> Alcotest.test_case n `Quick f) counter_tests);
+      ("visible", List.map (fun (n, f) -> Alcotest.test_case n `Quick f) visible_tests);
     ]

@@ -609,6 +609,18 @@ let geom_tests =
           let r = Geom.rect ~x:0 ~y:0 ~width:50 ~height:50 in
           let unit = Geom.rect ~x ~y ~width:1 ~height:1 in
           Geom.contains r { Geom.x; y } = (Geom.intersect r unit <> None)) );
+    ( "intersects is intersect <> None, empty rects included",
+      QCheck.Test.make ~count:500 ~name:"intersects/intersect agree"
+        QCheck.(
+          pair
+            (quad (int_range (-20) 60) (int_range (-20) 60)
+               (int_range (-5) 40) (int_range (-5) 40))
+            (quad (int_range (-20) 60) (int_range (-20) 60)
+               (int_range (-5) 40) (int_range (-5) 40)))
+        (fun ((x, y, w, h), (x', y', w', h')) ->
+          let a = Geom.rect ~x ~y ~width:w ~height:h in
+          let b = Geom.rect ~x:x' ~y:y' ~width:w' ~height:h' in
+          Geom.intersects a b = (Geom.intersect a b <> None)) );
   ]
 
 let to_alcotest = List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
