@@ -217,10 +217,10 @@ let bench_send_empty ?quota () =
         ignore (run_tcl alpha "send beta {}"))
   in
   (* Simulated protocol cost: requests for one send. *)
-  Server.reset_stats alpha.Tk.Core.conn;
+  Tk.Core.reset_metrics alpha;
   ignore (run_tcl alpha "send beta {}");
-  let stats = Server.stats alpha.Tk.Core.conn in
-  (ns, stats.Server.total_requests, stats.Server.round_trips)
+  let count = Counters.value alpha.Tk.Core.counters in
+  (ns, count "requests_total", count "round_trips")
 
 (* Interp isolation costs (PR7): slave lifecycle, an alias round trip
    through the master, and the guard-gate ablation — "set a 1" with no
@@ -320,10 +320,9 @@ let bench_50_buttons ?(quota = 1.0) () =
     measure_ns ~quota "create/display/delete 50 buttons" (fun () ->
         create_destroy_buttons app 50)
   in
-  Server.reset_stats app.Tk.Core.conn;
+  Tk.Core.reset_metrics app;
   create_destroy_buttons app 50;
-  let stats = Server.stats app.Tk.Core.conn in
-  (ns, stats.Server.total_requests)
+  (ns, Counters.value app.Tk.Core.counters "requests_total")
 
 let table2 () =
   section "Table II: execution times for selected operations";
@@ -537,7 +536,7 @@ let send_storm_section () =
 let rescache_ablation_case enabled =
   let _server, app = new_display_app "cache" in
   Tk.Rescache.set_enabled app.Tk.Core.cache enabled;
-  Server.reset_stats app.Tk.Core.conn;
+  Tk.Core.reset_metrics app;
   (* 40 widgets sharing 2 colors and 1 font: the paper's "few resources
      used in many widgets" case. *)
   for i = 0 to 39 do
@@ -547,7 +546,7 @@ let rescache_ablation_case enabled =
             "button .b%d -text b%d -foreground black -background gray75" i i))
   done;
   Tk.Core.update app;
-  (Server.stats app.Tk.Core.conn).Server.resource_allocs
+  Counters.value app.Tk.Core.counters "requests_resource"
 
 let rescache_ablation () =
   section "Ablation: resource cache on/off (§3.3)";
@@ -566,23 +565,24 @@ let structcache_ablation () =
   ignore (run_tcl app "pack append . .f {top}");
   Tk.Core.update app;
   let n = 10_000 in
-  Server.reset_stats app.Tk.Core.conn;
+  let round_trips () = Counters.value app.Tk.Core.counters "round_trips" in
+  Tk.Core.reset_metrics app;
   let cached =
     time_wall (fun () ->
         for _ = 1 to n do
           ignore (run_tcl app "winfo width .f")
         done)
   in
-  let cached_rts = (Server.stats app.Tk.Core.conn).Server.round_trips in
+  let cached_rts = round_trips () in
   let w = Tk.Core.lookup_exn app ".f" in
-  Server.reset_stats app.Tk.Core.conn;
+  Tk.Core.reset_metrics app;
   let direct =
     time_wall (fun () ->
         for _ = 1 to n do
           ignore (Server.query_geometry app.Tk.Core.conn w.Tk.Core.win)
         done)
   in
-  let direct_rts = (Server.stats app.Tk.Core.conn).Server.round_trips in
+  let direct_rts = round_trips () in
   Printf.printf
     "  %d geometry queries: cached %.2f us/query (%d round trips), direct \
      %.2f us/query (%d round trips)\n"
@@ -635,10 +635,8 @@ let binding_ablation () =
    evaluator). The parse_passes counter shows how many full scans of
    script text each mode performed. *)
 
-let compile_stat_int tcl key =
-  match List.assoc_opt key (Tcl.Interp.compile_stats tcl) with
-  | Some v -> int_of_string v
-  | None -> 0
+let parse_passes tcl =
+  Counters.value (Tcl.Interp.counters tcl) "tcl.compile.parse_passes"
 
 (* [compile] selects the compiled tier (parse-once caches, bytecode VM)
    or the reference evaluator. *)
@@ -655,9 +653,9 @@ let bench_fib ~n ~compile () =
   (match Tcl.Interp.eval tcl call with
   | Tcl.Interp.Tcl_ok, _ -> ()
   | _, msg -> failwith ("fib bench failed: " ^ msg));
-  Tcl.Interp.reset_compile_stats tcl;
+  Counters.reset (Tcl.Interp.counters tcl);
   let dt = time_min (fun () -> ignore (Tcl.Interp.eval tcl call)) in
-  (dt, compile_stat_int tcl "parse_passes")
+  (dt, parse_passes tcl)
 
 let bench_while_10k ~compile () =
   let tcl = Tcl.Builtins.new_interp () in
@@ -672,14 +670,14 @@ let bench_while_10k ~compile () =
      set total"
   in
   ignore (Tcl.Interp.eval tcl script);
-  Tcl.Interp.reset_compile_stats tcl;
+  Counters.reset (Tcl.Interp.counters tcl);
   let dt =
     time_min (fun () ->
         match Tcl.Interp.eval tcl script with
         | Tcl.Interp.Tcl_ok, "49995000" -> ()
         | _, v -> failwith ("while bench wrong result: " ^ v))
   in
-  (dt, compile_stat_int tcl "parse_passes")
+  (dt, parse_passes tcl)
 
 (* A grid of buttons, each with a key binding; the pointer parks over one
    and a storm of keystrokes dispatches the same binding script. *)
@@ -712,11 +710,7 @@ let bench_binding_storm ~events ~compile () =
           Tk.Core.update app
         done)
   in
-  let m key =
-    match Tk.Core.metric app ("tcl.compile." ^ key) with
-    | Some v -> int_of_string v
-    | None -> 0
-  in
+  let m key = Counters.value app.Tk.Core.counters ("tcl.compile." ^ key) in
   let hits = m "script_hits" and misses = m "script_misses" in
   let hit_rate = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
   (dt, m "parse_passes", hit_rate)
@@ -942,9 +936,7 @@ let canvas_case ~indexed n =
   Tk_widgets.Canvas.set_index_enabled true;
   ignore (run_tcl app "pack append . .c {top}");
   Tk.Core.update app;
-  let metric name =
-    match Tk.Core.metric app name with Some v -> int_of_string v | None -> 0
-  in
+  let metric = Counters.value app.Tk.Core.counters in
   (* n small rectangles hashed over a plane that grows with sqrt(n), so
      item density (and thus grid-cell occupancy) is constant across the
      sweep — the per-query cost should then be flat under the index. *)
@@ -1129,7 +1121,7 @@ let button_traffic_budget () =
     ignore (run_tcl app (Printf.sprintf "button .b%d -text {Button %d}" i i));
     ignore (run_tcl app (Printf.sprintf "pack append . .b%d {top}" i));
     Tk.Core.update app;
-    (Server.stats conn).Server.total_requests
+    Counters.value app.Tk.Core.counters "requests_total"
   in
   let first = create 1 in
   let second = create 2 in
@@ -1138,11 +1130,10 @@ let button_traffic_budget () =
 
 let cache_hit_rate_workload () =
   let _server, app = new_display_app "hitrate" in
-  Tk.Rescache.reset_counters app.Tk.Core.cache;
+  Tk.Core.reset_metrics app;
   create_destroy_buttons app 40;
-  let hits = Tk.Rescache.hits app.Tk.Core.cache in
-  let misses = Tk.Rescache.misses app.Tk.Core.cache in
-  (hits, misses)
+  let count = Counters.value app.Tk.Core.counters in
+  (count "rescache_hits", count "rescache_misses")
 
 let storm_json ~smoke =
   let r, wall = storm_runs ~smoke in

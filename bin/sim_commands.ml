@@ -40,20 +40,20 @@ let install app =
           "inject motion x y | button n | key keysym | string text");
       Tk.Core.update app;
       "");
+  let count name = Counters.value app.Tk.Core.counters name in
   Tcl.Interp.register_value interp "serverstats" (fun _ _ ->
-      let s = Server.stats app.Tk.Core.conn in
       Printf.sprintf
         "requests %d round-trips %d resources %d windows %d draws %d \
          properties %d"
-        s.Server.total_requests s.Server.round_trips s.Server.resource_allocs
-        s.Server.window_requests s.Server.draw_requests
-        s.Server.property_requests);
+        (count "requests_total") (count "round_trips")
+        (count "requests_resource") (count "requests_window")
+        (count "requests_draw") (count "requests_property"));
   Tcl.Interp.register_value interp "faultstats" (fun _ _ ->
       let server = app.Tk.Core.server in
       Printf.sprintf "injected %d absorbed %d fallbacks %d"
         (Server.faults_injected server)
         (Server.faults_absorbed server)
-        (Tk.Rescache.fallbacks app.Tk.Core.cache));
+        (count "rescache_fallbacks"));
   Tcl.Interp.register_value interp "crashtest" (fun _ words ->
       let int_arg s =
         match int_of_string_opt s with
@@ -80,11 +80,11 @@ let install app =
           ""
         | None -> Tcl.Interp.failf "no application named \"%s\"" name)
       | [ _; "status" ] ->
-        Printf.sprintf "alive %d crashed %d crash-at %d requests %d"
+        Printf.sprintf "alive %d crashed %d crash-at %d serial %d"
           (if Server.connection_alive app.Tk.Core.conn then 1 else 0)
           (if Server.connection_crashed app.Tk.Core.conn then 1 else 0)
           (Server.crash_plan app.Tk.Core.conn)
-          (Server.stats app.Tk.Core.conn).Server.total_requests
+          (Server.serial app.Tk.Core.conn)
       | _ -> Tcl.Interp.wrong_args "crashtest at n | kill app | status");
   List.iter
     (Tcl.Interp.register_signature interp)

@@ -31,7 +31,7 @@
 
    The -crash-at N flag arms the crash plan: the application's X
    connection dies abruptly (as if the client was killed) the moment its
-   request counter reaches N. The interpreter survives — every
+   request serial reaches N. The interpreter survives — every
    subsequent X request degrades gracefully — so scripts can verify the
    failure story of a client outliving its display connection.
 

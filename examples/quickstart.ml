@@ -77,7 +77,7 @@ let () =
   Tk.Core.update app;
   print_endline "";
 
-  let stats = Server.stats app.Tk.Core.conn in
+  let count = Counters.value app.Tk.Core.counters in
   Printf.printf
     "Server traffic for this whole session: %d requests (%d round trips)\n"
-    stats.Server.total_requests stats.Server.round_trips
+    (count "requests_total") (count "round_trips")

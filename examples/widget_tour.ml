@@ -66,6 +66,6 @@ let () =
   Printf.printf "Radiobutton variable: which = %s\n" (run app "set which");
   Printf.printf "Scale value: %s\n" (run app ".row2.scale get");
   Printf.printf "Canvas items: %s\n" (run app ".row3.canvas itemcount");
-  let stats = Server.stats app.Tk.Core.conn in
+  let count = Counters.value app.Tk.Core.counters in
   Printf.printf "Built with %d server requests (%d round trips)\n"
-    stats.Server.total_requests stats.Server.round_trips
+    (count "requests_total") (count "round_trips")

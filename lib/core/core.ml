@@ -2,6 +2,28 @@ open Xsim
 
 let failf = Tcl.Interp.failf
 
+(* Counters of the intrinsics (the connection, interpreter, dispatcher,
+   resource cache, canvas and send fabric declare their own):
+   [schedule_redraw] calls that armed an idle callback, calls coalesced
+   into an already-pending redraw, display procedures run, and redraws
+   dropped because the widget died before the idle sweep. *)
+let c_redraws_scheduled = Counters.counter "redraws_scheduled"
+let c_redraws_collapsed = Counters.counter "redraws_collapsed"
+let c_redraws_drawn = Counters.counter "redraws_drawn"
+let c_redraws_skipped_dead = Counters.counter "redraws_skipped_dead"
+let c_binding_dispatches = Counters.counter "binding_dispatches"
+
+(* Partial repaints armed by [schedule_damage], damage rects unioned into
+   a pending one, partial repaints run, and pending partial repaints
+   upgraded to a full redraw. *)
+let c_damage_scheduled = Counters.counter "tk.damage.scheduled"
+let c_damage_coalesced = Counters.counter "tk.damage.coalesced"
+let c_damage_drawn = Counters.counter "tk.damage.partial_drawn"
+let c_damage_deopt_full = Counters.counter "tk.damage.deopt_full"
+
+(* Stale send-registry entries garbage-collected. *)
+let c_ghosts_collected = Counters.counter "tk.send.ghosts_collected"
+
 (* ------------------------------------------------------------------ *)
 (* Option specs *)
 
@@ -109,7 +131,7 @@ and app = {
   options : Optiondb.t;
   bindings : (string, binding list ref) Hashtbl.t;
   disp : Dispatch.t;
-  metrics : Metrics.t;
+  counters : Counters.t;
   mutable focus_path : string option;
   comm_win : Xid.t;
   mutable send_serial : int;
@@ -292,8 +314,7 @@ let read_registry_shard app k =
   (* Garbage-collect: rewrite the shard without the ghosts. *)
   let ghosts = List.length entries - List.length live in
   if ghosts > 0 then begin
-    app.metrics.Metrics.ghosts_collected <-
-      app.metrics.Metrics.ghosts_collected + ghosts;
+    Counters.add app.counters c_ghosts_collected ghosts;
     write_registry_shard app k live
   end;
   live
@@ -571,9 +592,9 @@ let damage_deopt_percent = 60
 let max_damage_rects = 4
 
 let arm_repaint w =
-  let m = w.app.metrics in
+  let m = w.app.counters in
   w.redraw_pending <- true;
-  m.Metrics.redraws_scheduled <- m.Metrics.redraws_scheduled + 1;
+  Counters.incr m c_redraws_scheduled;
   Dispatch.when_idle w.app.disp (fun () ->
       w.redraw_pending <- false;
       let damage = w.damage in
@@ -582,16 +603,16 @@ let arm_repaint w =
          after this redraw was scheduled; drawing into its (possibly
          recycled) window would be wrong. *)
       if w.destroyed then
-        m.Metrics.redraws_skipped_dead <- m.Metrics.redraws_skipped_dead + 1
+        Counters.incr m c_redraws_skipped_dead
       else if w.mapped then begin
-        m.Metrics.redraws_drawn <- m.Metrics.redraws_drawn + 1;
+        Counters.incr m c_redraws_drawn;
         let partial =
           (* A partial repaint needs a class that understands clips; and
              once damage swamps the window, full redraw is cheaper. *)
           match (damage, w.wclass.display_damaged) with
           | [], _ -> None
           | _ :: _, None ->
-            m.Metrics.damage_deopt_full <- m.Metrics.damage_deopt_full + 1;
+            Counters.incr m c_damage_deopt_full;
             None
           | rects, Some repaint ->
             let wrect =
@@ -604,7 +625,7 @@ let arm_repaint w =
               List.fold_left (fun acc r -> acc + Geom.area r) 0 visible
             in
             if total * 100 >= Geom.area wrect * damage_deopt_percent then begin
-              m.Metrics.damage_deopt_full <- m.Metrics.damage_deopt_full + 1;
+              Counters.incr m c_damage_deopt_full;
               None
             end
             else Some (repaint, visible)
@@ -614,7 +635,7 @@ let arm_repaint w =
         absorb w.app ~default:() (fun () ->
             match partial with
             | Some (repaint, clips) ->
-              m.Metrics.damage_drawn <- m.Metrics.damage_drawn + 1;
+              Counters.incr m c_damage_drawn;
               List.iter (fun clip -> repaint w clip) clips
             | None ->
               Server.clear_window w.app.conn w.win;
@@ -622,24 +643,24 @@ let arm_repaint w =
       end)
 
 let schedule_redraw w =
-  let m = w.app.metrics in
+  let m = w.app.counters in
   if w.redraw_pending then begin
     (* Idle-time redisplay (paper §3.2): this repaint rides the one
        already scheduled. The collapsed count is the traffic saved. *)
-    m.Metrics.redraws_collapsed <- m.Metrics.redraws_collapsed + 1;
+    Counters.incr m c_redraws_collapsed;
     (* A full redraw subsumes any pending partial damage. *)
     if w.damage <> [] then begin
       w.damage <- [];
-      m.Metrics.damage_deopt_full <- m.Metrics.damage_deopt_full + 1
+      Counters.incr m c_damage_deopt_full
     end
   end
   else if not w.destroyed then arm_repaint w
 
 let schedule_damage w rect =
   if not (Geom.is_empty rect) then begin
-    let m = w.app.metrics in
+    let m = w.app.counters in
     if w.redraw_pending then begin
-      m.Metrics.redraws_collapsed <- m.Metrics.redraws_collapsed + 1;
+      Counters.incr m c_redraws_collapsed;
       match w.damage with
       | [] ->
         (* A full redraw is already pending; it covers this damage. *)
@@ -649,7 +670,7 @@ let schedule_damage w rect =
            or keep the rect separate while there is room and merging
            would cost more area than it saves. Precision lost to a union
            is at worst extra clean items considered, never missed dirt. *)
-        m.Metrics.damage_coalesced <- m.Metrics.damage_coalesced + 1;
+        Counters.incr m c_damage_coalesced;
         let grow r = Geom.area (Geom.union r rect) - Geom.area r in
         let best =
           List.fold_left
@@ -669,7 +690,7 @@ let schedule_damage w rect =
     end
     else if not w.destroyed then begin
       w.damage <- [ rect ];
-      m.Metrics.damage_scheduled <- m.Metrics.damage_scheduled + 1;
+      Counters.incr m c_damage_scheduled;
       arm_repaint w
     end
   end
@@ -907,8 +928,7 @@ let run_bindings app w event ~click_count ~time =
   match best with
   | None -> ()
   | Some (_, b) ->
-    app.metrics.Metrics.binding_dispatches <-
-      app.metrics.Metrics.binding_dispatches + 1;
+    Counters.incr app.counters c_binding_dispatches;
     let script = percent_substitute b.bscript w event ~time in
     eval_callback app ~context:(Printf.sprintf "binding for %s" w.path) script
 
@@ -1241,68 +1261,11 @@ let update app =
 let update_all server = List.iter update (local_apps server)
 
 (* ------------------------------------------------------------------ *)
-(* Metrics registry: every counter the stack keeps, in one flat list
-   (the [xstat] command and the bench JSON emitter read this). *)
+(* Metrics: every component of an application counts into one block. *)
 
-let metrics_snapshot app =
-  let s = Server.stats app.conn in
-  let d = Dispatch.counters app.disp in
-  let ms f = Printf.sprintf "%.3f" f in
-  [
-    ("requests_total", string_of_int s.Server.total_requests);
-    ("round_trips", string_of_int s.Server.round_trips);
-    ("requests_resource", string_of_int s.Server.resource_allocs);
-    ("requests_window", string_of_int s.Server.window_requests);
-    ("requests_draw", string_of_int s.Server.draw_requests);
-    ("requests_property", string_of_int s.Server.property_requests);
-    ("rescache_hits", string_of_int (Rescache.hits app.cache));
-    ("rescache_misses", string_of_int (Rescache.misses app.cache));
-    ("rescache_fallbacks", string_of_int (Rescache.fallbacks app.cache));
-  ]
-  @ Metrics.to_list app.metrics
-  @ Metrics.damage_to_list app.metrics
-  @ Metrics.canvas_to_list app.metrics
-  @ Metrics.send_to_list app.metrics
-  @ [
-      ("timers_fired", string_of_int d.Dispatch.timers_fired);
-      ("idles_run", string_of_int d.Dispatch.idles_run);
-      ("dispatch_sweeps", string_of_int d.Dispatch.sweeps);
-      ("sweep_ms_total", ms d.Dispatch.sweep_ms_total);
-      ("sweep_ms_last", ms d.Dispatch.sweep_ms_last);
-      ("faults_injected", string_of_int (Server.faults_injected app.server));
-      ("faults_absorbed", string_of_int (Server.faults_absorbed app.server));
-      ("trace_records", string_of_int (Server.trace_length app.conn));
-    ]
-  @ List.map
-      (fun (k, v) -> ("tcl.compile." ^ k, v))
-      (Tcl.Interp.compile_stats app.interp)
-  @ List.map
-      (fun (k, v) -> ("tcl.vm." ^ k, v))
-      (Tcl.Interp.vm_stats app.interp)
-  @ List.map
-      (fun (k, v) -> ("tcl.lint." ^ k, v))
-      (Tcl.Interp.lint_stats app.interp)
-  @ List.map
-      (fun (k, v) -> ("tcl.limit." ^ k, v))
-      (Tcl.Interp.limit_stats app.interp)
-  @ List.map
-      (fun (k, v) -> ("tcl.interp." ^ k, v))
-      (Tcl.Interp.interp_stats app.interp)
-
-let metric app name =
-  List.assoc_opt name (metrics_snapshot app)
-
-(* Server fault counters are display-global (other clients' absorption
-   accounting rides on them), so a per-app reset leaves them alone. *)
-let reset_metrics app =
-  Server.reset_stats app.conn;
-  Rescache.reset_counters app.cache;
-  Metrics.reset app.metrics;
-  Dispatch.reset_counters app.disp;
-  Tcl.Interp.reset_compile_stats app.interp;
-  Tcl.Interp.reset_vm_stats app.interp;
-  Tcl.Interp.reset_lint_stats app.interp;
-  Tcl.Interp.reset_guard_stats app.interp
+let metrics_snapshot app = Counters.to_list app.counters
+let metric app name = Counters.find app.counters name
+let reset_metrics app = Counters.reset app.counters
 
 let mainloop app =
   while not app.app_destroyed do
@@ -1404,8 +1367,9 @@ let container_class ~name =
 (* Application creation *)
 
 let create_app ?(app_class = "Tk") ~server ~name () =
-  let conn = Server.connect server ~name in
-  let interp = Tcl.Builtins.new_interp () in
+  let counters = Counters.create () in
+  let conn = Server.connect ~counters server ~name in
+  let interp = Tcl.Builtins.new_interp ~counters () in
   let comm_win =
     let create () =
       Server.create_window conn ~parent:(Server.root server) ~x:(-10) ~y:(-10)
@@ -1429,8 +1393,8 @@ let create_app ?(app_class = "Tk") ~server ~name () =
       cache = Rescache.create conn;
       options = Optiondb.create ();
       bindings = Hashtbl.create 32;
-      disp = Dispatch.create ();
-      metrics = Metrics.create ();
+      disp = Dispatch.create ~counters ();
+      counters;
       focus_path = None;
       comm_win;
       send_serial = 0;

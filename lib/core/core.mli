@@ -117,7 +117,10 @@ and app = {
   options : Optiondb.t;
   bindings : (string, binding list ref) Hashtbl.t;
   disp : Dispatch.t;
-  metrics : Metrics.t;  (** toolkit-side counters (see {!metrics_snapshot}) *)
+  counters : Counters.t;
+      (** the block every component of the application counts into: the
+          connection, interpreter, dispatcher, resource cache, widgets
+          and send fabric (see {!metrics_snapshot}) *)
   mutable focus_path : string option;
   comm_win : Xid.t;  (** hidden window used by the [send] protocol *)
   mutable send_serial : int;
@@ -365,24 +368,29 @@ val mainloop : app -> unit
 
 (** {1 Metrics}
 
-    One registry over every counter the stack keeps: the connection's
-    request {!Xsim.Server.stats}, resource-cache hits/misses/fallbacks,
-    redraw scheduling/coalescing, binding dispatches, dispatcher
-    timer/idle counts and sweep latency, and the display's fault
-    counters. The [xstat] Tcl command and the bench JSON emitter are
-    thin wrappers over this. *)
+    Views of the application's {!Counters} block, which holds every
+    counter the stack declares: the connection's requests by class,
+    resource-cache hits/misses/fallbacks, redraw scheduling/coalescing,
+    damage repaints, canvas index use, binding dispatches, dispatcher
+    timer/idle counts and sweep latency, the send fabric, the
+    interpreter's compile caches, VM, lint and guard, and the computed
+    values (cache sizes, configured limits, slave counts, trace length,
+    the display's fault counters). The [xstat] Tcl command is a thin
+    wrapper over these. *)
 
 val metrics_snapshot : app -> (string * string) list
-(** Current value of every counter, as name/value pairs (values are
-    decimal integers except the [sweep_ms_*] latencies). *)
+(** Every entry as name/value pairs, in declaration order (values are
+    decimal integers except the [sweep_ms_*] latencies, in ms with three
+    decimals). *)
 
 val metric : app -> string -> string option
-(** One counter from {!metrics_snapshot}, by name. *)
+(** One entry by name, without building the snapshot. *)
 
 val reset_metrics : app -> unit
-(** Zero the per-application counters (request stats, cache counters,
-    redraw/binding counters, dispatcher counters). Display-global fault
-    counters are left alone — other clients' accounting rides on them. *)
+(** Zero the application's counters. Computed values are left alone:
+    among them the display-global fault counters, which other clients'
+    accounting rides on. The guard counters of the interpreter's slaves
+    live in this block too, so they reset with it. *)
 
 val eval_callback : app -> ?context:string -> string -> unit
 (** Evaluate a Tcl script triggered by an event/timer; errors go to

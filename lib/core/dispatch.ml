@@ -2,13 +2,16 @@ type timer_id = int
 
 type timer = { tid : timer_id; deadline : float; callback : unit -> unit }
 
-type counters = {
-  timers_fired : int;
-  idles_run : int;
-  sweeps : int;
-  sweep_ms_total : float;
-  sweep_ms_last : float;
-}
+let c_timers_fired = Counters.counter "timers_fired"
+let c_idles_run = Counters.counter "idles_run"
+
+(* Timer/idle sweeps that ran at least one callback, and their latency on
+   the pluggable clock: kept in nanoseconds, shown in milliseconds. *)
+let c_sweeps = Counters.counter "dispatch_sweeps"
+
+let render_ms ns = Printf.sprintf "%.3f" (float_of_int ns /. 1e6)
+let c_sweep_ns_total = Counters.counter ~render:render_ms "sweep_ms_total"
+let c_sweep_ns_last = Counters.counter ~render:render_ms "sweep_ms_last"
 
 type t = {
   mutable clock : unit -> float;
@@ -18,17 +21,13 @@ type t = {
   mutable idle : (unit -> unit) list; (* reversed queue *)
   mutable files : (Unix.file_descr * (unit -> unit)) list;
   mutable on_error : exn -> unit;
-  mutable timers_fired : int;
-  mutable idles_run : int;
-  mutable sweeps : int;
-  mutable sweep_ms_total : float;
-  mutable sweep_ms_last : float;
+  counters : Counters.t;
 }
 
 let default_sleep ms =
   if ms > 0 then ignore (Unix.select [] [] [] (float_of_int ms /. 1000.0))
 
-let create ?clock () =
+let create ?clock ?(counters = Counters.create ()) () =
   {
     clock = (match clock with Some c -> c | None -> Unix.gettimeofday);
     sleep = default_sleep;
@@ -37,38 +36,18 @@ let create ?clock () =
     idle = [];
     files = [];
     on_error = raise;
-    timers_fired = 0;
-    idles_run = 0;
-    sweeps = 0;
-    sweep_ms_total = 0.0;
-    sweep_ms_last = 0.0;
+    counters;
   }
-
-let counters t =
-  {
-    timers_fired = t.timers_fired;
-    idles_run = t.idles_run;
-    sweeps = t.sweeps;
-    sweep_ms_total = t.sweep_ms_total;
-    sweep_ms_last = t.sweep_ms_last;
-  }
-
-let reset_counters t =
-  t.timers_fired <- 0;
-  t.idles_run <- 0;
-  t.sweeps <- 0;
-  t.sweep_ms_total <- 0.0;
-  t.sweep_ms_last <- 0.0
 
 (* Latency of one callback sweep, measured on the pluggable clock so
    virtual-clock tests see deterministic numbers. Empty sweeps are not
    counted: they would drown the signal in [update]'s quiescence loop. *)
 let note_sweep t ~t0 ~ran =
   if ran > 0 then begin
-    let ms = (t.clock () -. t0) *. 1000.0 in
-    t.sweeps <- t.sweeps + 1;
-    t.sweep_ms_total <- t.sweep_ms_total +. ms;
-    t.sweep_ms_last <- ms
+    let ns = Float.to_int (Float.round ((t.clock () -. t0) *. 1e9)) in
+    Counters.incr t.counters c_sweeps;
+    Counters.add t.counters c_sweep_ns_total ns;
+    Counters.set t.counters c_sweep_ns_last ns
   end
 
 let set_clock t clock = t.clock <- clock
@@ -126,7 +105,7 @@ let run_due_timers t =
   t.timers <- remaining;
   List.iter (fun timer -> protect t timer.callback) due;
   let n = List.length due in
-  t.timers_fired <- t.timers_fired + n;
+  Counters.add t.counters c_timers_fired n;
   note_sweep t ~t0:now ~ran:n;
   n
 
@@ -137,7 +116,7 @@ let run_idle t =
   t.idle <- [];
   List.iter (fun f -> protect t f) callbacks;
   let n = List.length callbacks in
-  t.idles_run <- t.idles_run + n;
+  Counters.add t.counters c_idles_run n;
   note_sweep t ~t0 ~ran:n;
   n
 

@@ -9,20 +9,13 @@ type t
 
 type timer_id = int
 
-(** Dispatcher activity counters (cumulative since creation or the last
-    {!reset_counters}). Sweep latency is measured on the pluggable clock,
-    so virtual-clock tests see deterministic values; sweeps that ran no
-    callbacks are not counted. *)
-type counters = {
-  timers_fired : int;
-  idles_run : int;
-  sweeps : int;  (** timer/idle sweeps that ran at least one callback *)
-  sweep_ms_total : float;
-  sweep_ms_last : float;
-}
-
-val create : ?clock:(unit -> float) -> unit -> t
-(** [clock] returns seconds (default: wall clock). *)
+val create : ?clock:(unit -> float) -> ?counters:Counters.t -> unit -> t
+(** [clock] returns seconds (default: wall clock). The dispatcher counts
+    into [counters] (default: a block of its own): [timers_fired],
+    [idles_run], [dispatch_sweeps] (timer/idle sweeps that ran at least
+    one callback) and their latency [sweep_ms_total]/[sweep_ms_last],
+    measured on the pluggable clock so virtual-clock tests see
+    deterministic values. *)
 
 val set_clock : t -> (unit -> float) -> unit
 
@@ -91,7 +84,3 @@ val next_deadline_ms : t -> int option
 
 val has_work : t -> bool
 (** Are there timers or idle callbacks outstanding? *)
-
-val counters : t -> counters
-
-val reset_counters : t -> unit

@@ -1,5 +1,10 @@
 open Xsim
 
+(* Counted into the connection's block. *)
+let c_hits = Counters.counter "rescache_hits"
+let c_misses = Counters.counter "rescache_misses"
+let c_fallbacks = Counters.counter "rescache_fallbacks"
+
 type t = {
   conn : Server.connection;
   colors : (string, Color.t) Hashtbl.t;
@@ -9,9 +14,7 @@ type t = {
   gcs : (string, Gcontext.t) Hashtbl.t;
   color_names : (string, string) Hashtbl.t; (* hex -> first name used *)
   mutable enabled : bool;
-  mutable hit_count : int;
-  mutable miss_count : int;
-  mutable fallback_count : int;
+  counters : Counters.t;
 }
 
 let create conn =
@@ -24,9 +27,7 @@ let create conn =
     gcs = Hashtbl.create 16;
     color_names = Hashtbl.create 16;
     enabled = true;
-    hit_count = 0;
-    miss_count = 0;
-    fallback_count = 0;
+    counters = Server.counters conn;
   }
 
 let set_enabled t flag = t.enabled <- flag
@@ -42,23 +43,23 @@ let fetch_degraded t fetch fallback name =
   try fetch t.conn name
   with Xerror.X_error e ->
     Server.note_absorbed (Server.server_of t.conn) e;
-    t.fallback_count <- t.fallback_count + 1;
+    Counters.incr t.counters c_fallbacks;
     Some (fallback name)
 
 (* Generic cached lookup: [fetch] performs the server request. *)
 let lookup t table fetch fallback name =
   let key = normalise name in
   if not t.enabled then begin
-    t.miss_count <- t.miss_count + 1;
+    Counters.incr t.counters c_misses;
     fetch_degraded t fetch fallback name
   end
   else
     match Hashtbl.find_opt table key with
     | Some v ->
-      t.hit_count <- t.hit_count + 1;
+      Counters.incr t.counters c_hits;
       Some v
     | None -> (
-      t.miss_count <- t.miss_count + 1;
+      Counters.incr t.counters c_misses;
       match fetch_degraded t fetch fallback name with
       | Some v ->
         Hashtbl.replace table key v;
@@ -97,15 +98,6 @@ let bitmap t name =
 
 let color_name t c = Hashtbl.find_opt t.color_names (Color.to_hex c)
 
-let hits t = t.hit_count
-let misses t = t.miss_count
-let fallbacks t = t.fallback_count
-
-let reset_counters t =
-  t.hit_count <- 0;
-  t.miss_count <- 0;
-  t.fallback_count <- 0
-
 let gc t ?(foreground = "black") ?(background = "white") ?font:font_name () =
   let key =
     Printf.sprintf "%s/%s/%s" (normalise foreground) (normalise background)
@@ -113,7 +105,7 @@ let gc t ?(foreground = "black") ?(background = "white") ?font:font_name () =
   in
   match if t.enabled then Hashtbl.find_opt t.gcs key else None with
   | Some gc ->
-    t.hit_count <- t.hit_count + 1;
+    Counters.incr t.counters c_hits;
     gc
   | None ->
     let fg = Option.value (color t foreground) ~default:Color.black in
@@ -129,7 +121,7 @@ let gc t ?(foreground = "black") ?(background = "white") ?font:font_name () =
         (* A rejected GC allocation degrades to a client-side context with
            a null id: drawing continues with the resolved components. *)
         Server.note_absorbed (Server.server_of t.conn) e;
-        t.fallback_count <- t.fallback_count + 1;
+        Counters.incr t.counters c_fallbacks;
         Gcontext.make ~id:Xid.none ~foreground:fg ~background:bg ?font:fnt ()
     in
     if t.enabled then Hashtbl.replace t.gcs key gc;

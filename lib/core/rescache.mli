@@ -4,14 +4,16 @@
     mapping so widgets can report human-readable names for resources in
     use.
 
-    Hit/miss counters make the saved server traffic measurable, and the
-    cache can be disabled entirely for the ablation benchmark.
+    The [rescache_hits]/[rescache_misses] counters (in the connection's
+    block) make the saved server traffic measurable, and the cache can be
+    disabled entirely for the ablation benchmark.
 
     The cache is also the degradation point for failed resource requests:
     when the server rejects an allocation (a genuine error or an injected
     fault), the lookup falls back to a guaranteed resource — the "fixed"
     font, black/white colors, the default cursor, a built-in stipple — and
-    counts the substitution instead of propagating the error. *)
+    counts the substitution ([rescache_fallbacks]) instead of propagating
+    the error. *)
 
 type t
 
@@ -30,15 +32,6 @@ val bitmap : t -> string -> Xsim.Bitmap.t option
 
 val color_name : t -> Xsim.Color.t -> string option
 (** Reverse lookup: the textual name a cached color was allocated under. *)
-
-val hits : t -> int
-val misses : t -> int
-
-val fallbacks : t -> int
-(** How many lookups degraded to a fallback resource after a failed
-    server request. *)
-
-val reset_counters : t -> unit
 
 val gc :
   t ->

@@ -3,6 +3,38 @@ open Xsim
 let script_property = "TK_SEND_SCRIPT"
 let result_property_prefix = "TK_SEND_RESULT_"
 
+(* Sender side: requests issued (all variants), and how they resolved;
+   self-sends on the fast path, fire-and-forget posts, broadcasts,
+   reposts after a mailbox overflow, sends refused for reaching a hidden
+   command or cut short by the target's limits. *)
+let c_sends = Counters.counter "tk.send.sends"
+let c_ok = Counters.counter "tk.send.ok"
+let c_errors = Counters.counter "tk.send.errors"
+let c_self_fast_path = Counters.counter "tk.send.self_fast_path"
+let c_async = Counters.counter "tk.send.async"
+let c_broadcasts = Counters.counter "tk.send.broadcasts"
+let c_retries = Counters.counter "tk.send.retries"
+let c_overflows = Counters.counter "tk.send.overflows"
+let c_died = Counters.counter "tk.send.died"
+let c_timeouts = Counters.counter "tk.send.timeouts"
+let c_denied = Counters.counter "tk.send.denied"
+let c_limited = Counters.counter "tk.send.limited"
+let c_futures_created = Counters.counter "tk.send.futures_created"
+let c_futures_resolved = Counters.counter "tk.send.futures_resolved"
+
+(* Receiver side: requests accepted into, evaluated from and refused by a
+   full mailbox, its deepest depth, and incoming scripts that hit a
+   hidden command or this target's limits. *)
+let c_mailbox_enqueued = Counters.counter "tk.send.mailbox_enqueued"
+let c_mailbox_drained = Counters.counter "tk.send.mailbox_drained"
+let c_mailbox_rejected = Counters.counter "tk.send.mailbox_rejected"
+
+let c_mailbox_high_water =
+  Counters.counter ~merge:Counters.Max "tk.send.mailbox_depth_high_water"
+
+let c_recv_denied = Counters.counter "tk.send.recv_denied"
+let c_recv_limited = Counters.counter "tk.send.recv_limited"
+
 let default_timeout_ms = 5000
 let max_backoff_ms = 64
 
@@ -88,7 +120,7 @@ let guard_interp app =
    interpreter limited for its own user. *)
 let eval_remote app script =
   let s = app.Core.send in
-  let m = app.Core.metrics in
+  let m = app.Core.counters in
   let interp, guarded =
     match s.Core.guard_mode with
     | Core.Guard_off -> (app.Core.interp, false)
@@ -145,8 +177,8 @@ let eval_remote app script =
      not keep unwinding the (self-path) sender's own catch frames. *)
   if armed then Tcl.Interp.clear_unwinding interp;
   (match cls with
-  | C_denied -> m.Metrics.recv_denied <- m.Metrics.recv_denied + 1
-  | C_limited _ -> m.Metrics.recv_limited <- m.Metrics.recv_limited + 1
+  | C_denied -> Counters.incr m c_recv_denied
+  | C_limited _ -> Counters.incr m c_recv_limited
   | C_ok | C_error -> ());
   (status, value, info, cls)
 
@@ -170,9 +202,9 @@ let evaluate_request app (rq : Core.send_request) =
    its deadline. *)
 let enqueue_request app (rq : Core.send_request) =
   let s = app.Core.send in
-  let m = app.Core.metrics in
+  let m = app.Core.counters in
   if Queue.length s.Core.mailbox >= s.Core.mailbox_limit then begin
-    m.Metrics.mailbox_rejected <- m.Metrics.mailbox_rejected + 1;
+    Counters.incr m c_mailbox_rejected;
     if rq.Core.sq_mode <> "async" then
       reply app ~sender:rq.Core.sq_sender ~serial:rq.Core.sq_serial
         ~code:"2"
@@ -183,10 +215,10 @@ let enqueue_request app (rq : Core.send_request) =
   end
   else begin
     Queue.add rq s.Core.mailbox;
-    m.Metrics.mailbox_enqueued <- m.Metrics.mailbox_enqueued + 1;
+    Counters.incr m c_mailbox_enqueued;
     let depth = Queue.length s.Core.mailbox in
-    if depth > m.Metrics.mailbox_high_water then
-      m.Metrics.mailbox_high_water <- depth
+    if depth > Counters.get m c_mailbox_high_water then
+      Counters.set m c_mailbox_high_water depth
   end
 
 (* Requests are appended to the script property as elements of a Tcl
@@ -242,7 +274,7 @@ let pre_handler app (d : Event.delivery) =
 
 let drain_mailbox app =
   let s = app.Core.send in
-  let m = app.Core.metrics in
+  let m = app.Core.counters in
   (* Snapshot the depth: requests enqueued by scripts we evaluate here
      wait for the next sweep, keeping each drain bounded.  A drained
      script that blocks (a synchronous send or [after]) pumps the event
@@ -254,7 +286,7 @@ let drain_mailbox app =
     match Queue.take_opt s.Core.mailbox with
     | None -> ()
     | Some rq ->
-      m.Metrics.mailbox_drained <- m.Metrics.mailbox_drained + 1;
+      Counters.incr m c_mailbox_drained;
       evaluate_request app rq
   done;
   n
@@ -372,15 +404,15 @@ let future_timeout_msg target =
 
 (* Count one terminal outcome against the sender's tk.send.* metrics. *)
 let count_outcome app o =
-  let m = app.Core.metrics in
+  let m = app.Core.counters in
   match o with
-  | O_ok _ -> m.Metrics.sends_ok <- m.Metrics.sends_ok + 1
-  | O_error _ -> m.Metrics.sends_error <- m.Metrics.sends_error + 1
-  | O_died _ -> m.Metrics.send_died <- m.Metrics.send_died + 1
-  | O_timeout _ -> m.Metrics.send_timeouts <- m.Metrics.send_timeouts + 1
-  | O_overflow _ -> m.Metrics.send_overflows <- m.Metrics.send_overflows + 1
-  | O_denied _ -> m.Metrics.sends_denied <- m.Metrics.sends_denied + 1
-  | O_limited _ -> m.Metrics.sends_limited <- m.Metrics.sends_limited + 1
+  | O_ok _ -> Counters.incr m c_ok
+  | O_error _ -> Counters.incr m c_errors
+  | O_died _ -> Counters.incr m c_died
+  | O_timeout _ -> Counters.incr m c_timeouts
+  | O_overflow _ -> Counters.incr m c_overflows
+  | O_denied _ -> Counters.incr m c_denied
+  | O_limited _ -> Counters.incr m c_limited
 
 (* Wait for the reply to [serial] against [deadline] on the dispatcher
    clock.  Polls pump the sender and the target so evaluation makes
@@ -390,7 +422,7 @@ let count_outcome app o =
 let wait_reply app ~target ~comm ~serial ~deadline ~timeout_ms ~retry script
     =
   let disp = app.Core.disp in
-  let m = app.Core.metrics in
+  let m = app.Core.counters in
   let rec wait backoff =
     pump app comm;
     match take_reply app serial with
@@ -400,7 +432,7 @@ let wait_reply app ~target ~comm ~serial ~deadline ~timeout_ms ~retry script
     | Some ("4", value, _) -> O_limited value
     | Some (_, value, _) ->
       if retry && Dispatch.now_ms disp < deadline then begin
-        m.Metrics.send_retries <- m.Metrics.send_retries + 1;
+        Counters.incr m c_retries;
         Dispatch.sleep_ms disp (backoff + jitter app backoff);
         match post app ~target_comm:comm ~serial ~mode:"call" script with
         | () -> wait (min (backoff * 2) max_backoff_ms)
@@ -461,11 +493,11 @@ let is_self app target =
 
 let send_outcome ?(timeout_ms = default_timeout_ms) ?(retry = false) app
     ~target script =
-  let m = app.Core.metrics in
-  m.Metrics.sends <- m.Metrics.sends + 1;
+  let m = app.Core.counters in
+  Counters.incr m c_sends;
   let o =
     if is_self app target then begin
-      m.Metrics.sends_self <- m.Metrics.sends_self + 1;
+      Counters.incr m c_self_fast_path;
       let _, value, _, cls = eval_remote app script in
       outcome_of_local app (value, cls)
     end
@@ -494,13 +526,13 @@ let send ?timeout_ms ?retry app ~target script =
 (* Asynchronous (fire-and-forget) send *)
 
 let send_async app ~target script =
-  let m = app.Core.metrics in
-  m.Metrics.sends <- m.Metrics.sends + 1;
-  m.Metrics.sends_async <- m.Metrics.sends_async + 1;
+  let m = app.Core.counters in
+  Counters.incr m c_sends;
+  Counters.incr m c_async;
   if is_self app target then begin
     (* Self-sends still defer to the mailbox: async means "after I return
        to the event loop", even at home. *)
-    m.Metrics.sends_self <- m.Metrics.sends_self + 1;
+    Counters.incr m c_self_fast_path;
     enqueue_request app
       {
         Core.sq_serial = fresh_serial app;
@@ -515,7 +547,7 @@ let send_async app ~target script =
     match post_with_retry app ~target ~serial ~mode:"async" script with
     | P_posted _ -> Ok ()
     | P_died ->
-      m.Metrics.send_died <- m.Metrics.send_died + 1;
+      Counters.incr m c_died;
       Error (died_msg target)
     | P_unknown -> Error (no_interp_msg target)
 
@@ -525,8 +557,8 @@ let send_async app ~target script =
 let resolve_future app (ft : Core.send_future) o =
   ft.Core.ft_state <- Some (outcome_state o, outcome_value o);
   count_outcome app o;
-  let m = app.Core.metrics in
-  m.Metrics.futures_resolved <- m.Metrics.futures_resolved + 1
+  let m = app.Core.counters in
+  Counters.incr m c_futures_resolved
 
 (* Advance one future if its reply is in, its peer died, or its deadline
    passed.  Returns true when the call resolved it. *)
@@ -589,16 +621,16 @@ let register_future app ~target ~comm ~serial ~deadline =
     }
   in
   Hashtbl.replace app.Core.send.Core.futures handle ft;
-  let m = app.Core.metrics in
-  m.Metrics.futures_created <- m.Metrics.futures_created + 1;
+  let m = app.Core.counters in
+  Counters.incr m c_futures_created;
   (handle, ft)
 
 let send_future ?(timeout_ms = default_timeout_ms) app ~target script =
-  let m = app.Core.metrics in
-  m.Metrics.sends <- m.Metrics.sends + 1;
+  let m = app.Core.counters in
+  Counters.incr m c_sends;
   let deadline = Dispatch.now_ms app.Core.disp + timeout_ms in
   if is_self app target then begin
-    m.Metrics.sends_self <- m.Metrics.sends_self + 1;
+    Counters.incr m c_self_fast_path;
     let handle, ft =
       register_future app ~target ~comm:app.Core.comm_win
         ~serial:(fresh_serial app) ~deadline
@@ -661,8 +693,8 @@ let future_result app handle =
    overlaps all the evaluations, and one dead or unresponsive peer costs
    its own outcome — never the whole broadcast. *)
 let broadcast ?(timeout_ms = default_timeout_ms) ?pattern app script =
-  let m = app.Core.metrics in
-  m.Metrics.sends_broadcast <- m.Metrics.sends_broadcast + 1;
+  let m = app.Core.counters in
+  Counters.incr m c_broadcasts;
   let entries = Core.read_registry app in
   let entries =
     match pattern with
@@ -673,9 +705,9 @@ let broadcast ?(timeout_ms = default_timeout_ms) ?pattern app script =
   let pending =
     List.map
       (fun (name, comm) ->
-        m.Metrics.sends <- m.Metrics.sends + 1;
+        Counters.incr m c_sends;
         if is_self app name then begin
-          m.Metrics.sends_self <- m.Metrics.sends_self + 1;
+          Counters.incr m c_self_fast_path;
           let o =
             let _, value, _, cls = eval_remote app script in
             outcome_of_local app (value, cls)

@@ -48,7 +48,7 @@ type report = {
   crashes_planned : int;
   crashes_landed : int;
   hung : int;
-  counters : (string * int) list;  (* aggregated tk.send.*, sorted *)
+  counters : (string * int) list;  (* tk.send.*, tcl.limit.*, sorted *)
   requests_total : int;
   requests_per_send : float;
   latencies_ms : int array;  (* virtual ms per awaited send, sorted *)
@@ -117,12 +117,12 @@ let run cfg =
     else if pick = 0 then "while 1 {after 1}"
     else "while 1 {set spin 1}"
   in
-  let baseline_requests =
+  let requests_issued () =
     Array.fold_left
-      (fun acc app ->
-        acc + (Xsim.Server.stats app.Core.conn).Xsim.Server.total_requests)
+      (fun acc app -> acc + Xsim.Server.serial app.Core.conn)
       0 apps
   in
+  let baseline_requests = requests_issued () in
   (* Seeded fault plan: crash victims die mid-traffic at a seeded request
      count; hung apps stay alive but never pick up a send again. *)
   let rng = ref (lcg (cfg.seed + 1)) in
@@ -138,10 +138,7 @@ let run cfg =
     (fun i app ->
       if i > 0 && draw 100 < cfg.crash_percent then begin
         incr crashes_planned;
-        let at =
-          (Xsim.Server.stats app.Core.conn).Xsim.Server.total_requests
-          + 2 + draw 40
-        in
+        let at = Xsim.Server.serial app.Core.conn + 2 + draw 40 in
         Xsim.Server.set_crash_plan app.Core.conn ~at_request:at
       end
       else if i > 0 && draw 100 < cfg.hang_percent then begin
@@ -248,23 +245,6 @@ let run cfg =
     (List.rev !future_handles);
   Array.iter (fun app -> if sender_ok app then Core.update app) apps;
   Array.iter (fun app -> if sender_ok app then Core.update app) apps;
-  (* Aggregate the fleet's counters. *)
-  let counters = Hashtbl.create 32 in
-  Array.iter
-    (fun app ->
-      List.iter
-        (fun (name, v) ->
-          let v = int_of_string v in
-          let n = try Hashtbl.find counters name with Not_found -> 0 in
-          (* High-water marks aggregate by max; everything else by sum. *)
-          if name = "tk.send.mailbox_depth_high_water" then
-            Hashtbl.replace counters name (max n v)
-          else Hashtbl.replace counters name (n + v))
-        (Metrics.send_to_list app.Core.metrics
-        @ List.map
-            (fun (k, v) -> ("tcl.limit." ^ k, v))
-            (Tcl.Interp.limit_stats app.Core.interp)))
-    apps;
   let sorted_assoc tbl =
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
   in
@@ -281,14 +261,17 @@ let run cfg =
         if sender_ok app then acc + Sendcmd.pending_futures app else acc)
       0 apps
   in
-  let requests_total =
-    Array.fold_left
-      (fun acc app ->
-        acc + (Xsim.Server.stats app.Core.conn).Xsim.Server.total_requests)
-      0 apps
-    - baseline_requests
+  let requests_total = requests_issued () - baseline_requests in
+  (* The fleet's counters: summed, high-water marks by max. *)
+  let counters =
+    let fleet =
+      Counters.merge
+        (List.map (fun app -> app.Core.counters) (Array.to_list apps))
+    in
+    List.sort compare
+      (Counters.values ~prefix:"tk.send." fleet
+      @ Counters.values ~prefix:"tcl.limit." fleet)
   in
-  let counters = sorted_assoc counters in
   let sends_issued =
     try List.assoc "tk.send.sends" counters with Not_found -> 0
   in

@@ -9,14 +9,15 @@ let rec install t =
   Cmd_file.install t;
   Cmd_regexp.install t;
   Cmd_misc.install t;
-  Interp_cmd.install ~sub_interp:new_interp t;
+  Interp_cmd.install ~sub_interp:(fun () -> new_interp ()) t;
   (* All structural builtins are in place: let the VM inline them. *)
   Interp.mark_canonical t
 
-and new_interp () =
-  let t = Interp.create () in
+and new_interp ?counters () =
+  let t = Interp.create ?counters () in
   install t;
   t
 
 let create_slave ~master ~safe name =
-  Interp_cmd.create_slave ~sub_interp:new_interp ~master ~safe name
+  Interp_cmd.create_slave ~sub_interp:(fun () -> new_interp ()) ~master ~safe
+    name

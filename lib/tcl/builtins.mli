@@ -6,7 +6,7 @@
 val install : Interp.t -> unit
 (** Register every built-in command in an interpreter. *)
 
-val new_interp : unit -> Interp.t
+val new_interp : ?counters:Counters.t -> unit -> Interp.t
 (** [create] + [install]: a ready-to-use Tcl interpreter. *)
 
 val create_slave :

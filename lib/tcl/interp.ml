@@ -44,34 +44,66 @@ and frame = {
   lcells : Tval.t option array;  (* parallel value cells; None = unset *)
 }
 
-(* Counters for the parse-once machinery, exported as tcl.compile.* by
-   the toolkit's metrics registry. [parse_passes] counts every full scan
-   of script text — one per compilation, one per legacy evaluation — so
-   the cache's effect is directly visible as a drop in passes. *)
-type compile_stats = {
-  mutable script_hits : int;
-  mutable script_misses : int;
-  mutable script_evictions : int;
-  mutable script_compiles : int;
-  mutable expr_hits : int;
-  mutable expr_misses : int;
-  mutable expr_evictions : int;
-  mutable expr_compiles : int;
-  mutable parse_passes : int;
-}
+(* Counters (see [Counters]). The tcl.compile.*, tcl.vm.* and tcl.lint.*
+   ones count into the interpreter's own block; the guard's tcl.limit.*
+   and tcl.interp.* ones into [guard], the block of the root of its
+   isolation tree, so an application's metrics roll up every slave.
+   Cache sizes, [enabled], [canonical], slave counts and the configured
+   limits are computed. *)
+let c_enabled = Counters.counter "tcl.compile.enabled"
+let c_script_cache_size = Counters.counter "tcl.compile.script_cache_size"
+let c_script_hits = Counters.counter "tcl.compile.script_hits"
+let c_script_misses = Counters.counter "tcl.compile.script_misses"
+let c_script_evictions = Counters.counter "tcl.compile.script_evictions"
+let c_script_compiles = Counters.counter "tcl.compile.script_compiles"
+let c_expr_cache_size = Counters.counter "tcl.compile.expr_cache_size"
+let c_expr_hits = Counters.counter "tcl.compile.expr_hits"
+let c_expr_misses = Counters.counter "tcl.compile.expr_misses"
+let c_expr_evictions = Counters.counter "tcl.compile.expr_evictions"
+let c_expr_compiles = Counters.counter "tcl.compile.expr_compiles"
 
-let fresh_stats () =
-  {
-    script_hits = 0;
-    script_misses = 0;
-    script_evictions = 0;
-    script_compiles = 0;
-    expr_hits = 0;
-    expr_misses = 0;
-    expr_evictions = 0;
-    expr_compiles = 0;
-    parse_passes = 0;
-  }
+(* Every full scan of script text: one per compilation, so the cache's
+   effect shows as a drop in passes. *)
+let c_parse_passes = Counters.counter "tcl.compile.parse_passes"
+
+(* The ten structural builtins are still the ones the VM inlines. *)
+let c_canonical = Counters.counter "tcl.vm.canonical"
+
+(* Programs and proc bodies lowered. *)
+let c_compiled = Counters.counter "tcl.vm.compiled"
+
+(* Inlined opcodes that fell back to dispatch. *)
+let c_deopts = Counters.counter "tcl.vm.deopts"
+
+(* Variable reads/writes served by a slot or a valid inline cache. *)
+let c_slot_hits = Counters.counter "tcl.vm.slot_hits"
+
+let c_lint_runs = Counters.counter "tcl.lint.runs"
+let c_lint_errors = Counters.counter "tcl.lint.errors"
+let c_lint_warnings = Counters.counter "tcl.lint.warnings"
+
+(* Guard boundary checks performed. *)
+let c_checks = Counters.counter "tcl.limit.checks"
+let c_time_exceeded = Counters.counter "tcl.limit.time_exceeded"
+let c_cmd_exceeded = Counters.counter "tcl.limit.cmd_exceeded"
+
+(* Cancellations requested, and cancellation errors delivered. *)
+let c_cancels = Counters.counter "tcl.limit.cancels"
+let c_cancelled = Counters.counter "tcl.limit.cancelled"
+
+(* Hidden-command invocations refused. *)
+let c_denied = Counters.counter "tcl.limit.denied"
+let c_recursion_exceeded = Counters.counter "tcl.limit.recursion_exceeded"
+let c_slaves = Counters.counter "tcl.interp.slaves"
+let c_safe_slaves = Counters.counter "tcl.interp.safe_slaves"
+let c_creates = Counters.counter "tcl.interp.creates"
+let c_deletes = Counters.counter "tcl.interp.deletes"
+
+(* Alias invocations marshalled. *)
+let c_alias_calls = Counters.counter "tcl.interp.alias_calls"
+let c_recursionlimit = Counters.counter "tcl.interp.recursionlimit"
+let c_time_limit_ms = Counters.counter "tcl.interp.time_limit_ms"
+let c_command_limit = Counters.counter "tcl.interp.command_limit"
 
 (* ------------------------------------------------------------------ *)
 (* Command signatures.
@@ -148,12 +180,6 @@ let alternatives names =
     in
     go names
 
-type lint_stats = {
-  mutable lint_runs : int;
-  mutable lint_errors : int;
-  mutable lint_warnings : int;
-}
-
 (* ------------------------------------------------------------------ *)
 (* Resource limits, cancellation and isolation ("the guard").
 
@@ -168,50 +194,10 @@ type lint_stats = {
 
 type limit_kind = Limit_time | Limit_commands
 
-(* Guard activity counters, exported as tcl.limit.* / tcl.interp.* by the
-   toolkit's metrics registry.  The record is shared by reference between
-   a master and every slave in its tree, so per-application metrics roll
-   up the whole isolation tree. *)
-type guard_stats = {
-  mutable g_checks : int;  (* guard boundary checks performed *)
-  mutable g_time_exceeded : int;
-  mutable g_cmd_exceeded : int;
-  mutable g_cancels : int;  (* cancellations requested *)
-  mutable g_cancelled : int;  (* cancellation errors delivered *)
-  mutable g_denied : int;  (* hidden-command invocations refused *)
-  mutable g_recursion_exceeded : int;
-  mutable g_creates : int;  (* slave interpreters created *)
-  mutable g_deletes : int;  (* slave interpreters deleted *)
-  mutable g_alias_calls : int;  (* alias invocations marshalled *)
-}
-
-let fresh_guard_stats () =
-  {
-    g_checks = 0;
-    g_time_exceeded = 0;
-    g_cmd_exceeded = 0;
-    g_cancels = 0;
-    g_cancelled = 0;
-    g_denied = 0;
-    g_recursion_exceeded = 0;
-    g_creates = 0;
-    g_deletes = 0;
-    g_alias_calls = 0;
-  }
-
-(* Counters for the bytecode VM, exported as tcl.vm.* by the toolkit's
-   metrics registry. *)
-type vm_stats = {
-  mutable v_compiled : int;  (* programs/proc bodies lowered *)
-  mutable v_deopts : int;  (* inlined opcodes that fell back to dispatch *)
-  mutable v_slot_hits : int;  (* variable reads/writes served by a slot
-                                 or a valid inline cache *)
-}
-
 type t = {
   commands : (string, cmd_def) Hashtbl.t;
   signatures : (string, signature) Hashtbl.t;
-  lint : lint_stats;
+  counters : Counters.t;
   global_frame : frame;
   mutable stack : frame list; (* non-global frames, innermost first *)
   mutable depth : int; (* current eval nesting, for runaway recursion *)
@@ -229,7 +215,6 @@ type t = {
   script_cache : (string, script_entry) Hashtbl.t;
   expr_cache : (string, expr_entry) Hashtbl.t;
   mutable cache_tick : int; (* LRU clock for both caches *)
-  stats : compile_stats;
   mutable time_source : (unit -> float) option;
       (* pluggable clock for [time] (seconds); None = Sys.time *)
   (* --- isolation tree --- *)
@@ -259,7 +244,7 @@ type t = {
   mutable unwinding : bool;
       (* a limit or unwinding-cancel error is propagating: [catch] must
          let it through instead of stopping it *)
-  mutable guard : guard_stats; (* shared by reference across the tree *)
+  mutable guard : Counters.t; (* the root's [counters], shared by the tree *)
   (* --- bytecode VM --- *)
   mutable vm_canon : bool;
       (* the ten structural builtins are still the canonical ones
@@ -275,7 +260,6 @@ type t = {
          leaves its numeric value here so the enclosing expression can
          skip the string round-trip; None whenever no typed producer
          ran (consumers then parse the string result as before) *)
-  vm : vm_stats;
 }
 
 and command = t -> string list -> result
@@ -346,49 +330,72 @@ let rec local_slot_from lnames name n i =
 let local_slot f name =
   local_slot_from f.lnames name (Array.length f.lnames) 0
 
-let create () =
-  {
-    commands = Hashtbl.create 64;
-    signatures = Hashtbl.create 64;
-    lint = { lint_runs = 0; lint_errors = 0; lint_warnings = 0 };
-    global_frame = new_frame ();
-    stack = [];
-    depth = 0;
-    cmd_count = 0;
-    out = print_string;
-    error_in_progress = false;
-    history_recording = false;
-    history = [];
-    history_next = 1;
-    compile_enabled = true;
-    script_cache = Hashtbl.create 64;
-    expr_cache = Hashtbl.create 64;
-    cache_tick = 0;
-    stats = fresh_stats ();
-    time_source = None;
-    slaves = Hashtbl.create 4;
-    hidden = Hashtbl.create 8;
-    aliases = Hashtbl.create 8;
-    safe = false;
-    recursionlimit = default_recursion_limit;
-    guard_active = false;
-    limit_time_ms = 0;
-    limit_deadline_ms = 0;
-    limit_granularity = 1;
-    limit_countdown = 1;
-    limit_cmds = 0;
-    limit_cmds_left = 0;
-    tripped = None;
-    limit_clock = None;
-    cancel_request = None;
-    unwinding = false;
-    guard = fresh_guard_stats ();
-    vm_canon = false;
-    vm_canon_defs = [];
-    vm_lastcmd = None;
-    vm_xval = None;
-    vm = { v_compiled = 0; v_deopts = 0; v_slot_hits = 0 };
-  }
+let rec count_slaves t =
+  Hashtbl.fold (fun _ s acc -> acc + 1 + count_slaves s) t.slaves 0
+
+let rec count_safe_slaves t =
+  Hashtbl.fold
+    (fun _ s acc ->
+      acc + (if s.safe then 1 else 0) + count_safe_slaves s)
+    t.slaves 0
+
+let create ?(counters = Counters.create ()) () =
+  let t =
+    {
+      commands = Hashtbl.create 64;
+      signatures = Hashtbl.create 64;
+      counters;
+      global_frame = new_frame ();
+      stack = [];
+      depth = 0;
+      cmd_count = 0;
+      out = print_string;
+      error_in_progress = false;
+      history_recording = false;
+      history = [];
+      history_next = 1;
+      compile_enabled = true;
+      script_cache = Hashtbl.create 64;
+      expr_cache = Hashtbl.create 64;
+      cache_tick = 0;
+      time_source = None;
+      slaves = Hashtbl.create 4;
+      hidden = Hashtbl.create 8;
+      aliases = Hashtbl.create 8;
+      safe = false;
+      recursionlimit = default_recursion_limit;
+      guard_active = false;
+      limit_time_ms = 0;
+      limit_deadline_ms = 0;
+      limit_granularity = 1;
+      limit_countdown = 1;
+      limit_cmds = 0;
+      limit_cmds_left = 0;
+      tripped = None;
+      limit_clock = None;
+      cancel_request = None;
+      unwinding = false;
+      guard = counters;
+      vm_canon = false;
+      vm_canon_defs = [];
+      vm_lastcmd = None;
+      vm_xval = None;
+    }
+  in
+  let compute c f = Counters.compute counters c f in
+  let flag b = if b then 1 else 0 in
+  compute c_enabled (fun () -> flag t.compile_enabled);
+  compute c_script_cache_size (fun () -> Hashtbl.length t.script_cache);
+  compute c_expr_cache_size (fun () -> Hashtbl.length t.expr_cache);
+  compute c_canonical (fun () -> flag t.vm_canon);
+  compute c_slaves (fun () -> count_slaves t);
+  compute c_safe_slaves (fun () -> count_safe_slaves t);
+  compute c_recursionlimit (fun () -> t.recursionlimit);
+  compute c_time_limit_ms (fun () -> t.limit_time_ms);
+  compute c_command_limit (fun () -> t.limit_cmds);
+  t
+
+let counters t = t.counters
 
 let current_frame t =
   match t.stack with [] -> t.global_frame | f :: _ -> f
@@ -665,26 +672,14 @@ let bad_subcommand t ~cmd sub =
   | _ -> failf "bad option \"%s\" to %s" sub cmd
 
 let note_lint t ~errors ~warnings =
-  t.lint.lint_runs <- t.lint.lint_runs + 1;
-  t.lint.lint_errors <- t.lint.lint_errors + errors;
-  t.lint.lint_warnings <- t.lint.lint_warnings + warnings
-
-let reset_lint_stats t =
-  t.lint.lint_runs <- 0;
-  t.lint.lint_errors <- 0;
-  t.lint.lint_warnings <- 0
-
-let lint_stats t =
-  [
-    ("runs", string_of_int t.lint.lint_runs);
-    ("errors", string_of_int t.lint.lint_errors);
-    ("warnings", string_of_int t.lint.lint_warnings);
-  ]
+  Counters.incr t.counters c_lint_runs;
+  Counters.add t.counters c_lint_errors errors;
+  Counters.add t.counters c_lint_warnings warnings
 
 (* Compile a script, counting the pass. *)
 let compile_counted t src =
-  t.stats.script_compiles <- t.stats.script_compiles + 1;
-  t.stats.parse_passes <- t.stats.parse_passes + 1;
+  Counters.incr t.counters c_script_compiles;
+  Counters.incr t.counters c_parse_passes;
   Compile.compile src
 
 let define_proc t name formals body =
@@ -813,18 +808,18 @@ let evict_oldest (type a) (tbl : (string, a) Hashtbl.t) (tick_of : a -> int) =
 let script_entry_for t src =
   match Hashtbl.find_opt t.script_cache src with
   | Some e ->
-    t.stats.script_hits <- t.stats.script_hits + 1;
+    Counters.incr t.counters c_script_hits;
     e.s_tick <- bump_tick t;
     e
   | None ->
-    t.stats.script_misses <- t.stats.script_misses + 1;
+    Counters.incr t.counters c_script_misses;
     (if Hashtbl.length t.script_cache >= cache_limit then
        if evict_oldest t.script_cache (fun e -> e.s_tick) then
-         t.stats.script_evictions <- t.stats.script_evictions + 1);
+         Counters.incr t.counters c_script_evictions);
     let s_code =
       Vm.lower ~compile:(compile_counted t) (compile_counted t src)
     in
-    t.vm.v_compiled <- t.vm.v_compiled + 1;
+    Counters.incr t.counters c_compiled;
     let e = { s_code; s_tick = bump_tick t } in
     Hashtbl.add t.script_cache src e;
     e
@@ -832,15 +827,15 @@ let script_entry_for t src =
 let cached_expr_ast t src =
   match Hashtbl.find_opt t.expr_cache src with
   | Some e ->
-    t.stats.expr_hits <- t.stats.expr_hits + 1;
+    Counters.incr t.counters c_expr_hits;
     e.e_tick <- bump_tick t;
     e.east
   | None ->
-    t.stats.expr_misses <- t.stats.expr_misses + 1;
+    Counters.incr t.counters c_expr_misses;
     (if Hashtbl.length t.expr_cache >= cache_limit then
        if evict_oldest t.expr_cache (fun e -> e.e_tick) then
-         t.stats.expr_evictions <- t.stats.expr_evictions + 1);
-    t.stats.expr_compiles <- t.stats.expr_compiles + 1;
+         Counters.incr t.counters c_expr_evictions);
+    Counters.incr t.counters c_expr_compiles;
     let east = Expr.parse src in
     Hashtbl.add t.expr_cache src { east; e_tick = bump_tick t };
     east
@@ -849,51 +844,21 @@ let set_compile_enabled t flag = t.compile_enabled <- flag
 
 let compile_enabled t = t.compile_enabled
 
-let reset_vm_stats t =
-  t.vm.v_compiled <- 0;
-  t.vm.v_deopts <- 0;
-  t.vm.v_slot_hits <- 0
+(* The tcl.<section>.* entries of the interpreter's block, named without
+   the prefix. *)
+let section t name =
+  let prefix = "tcl." ^ name ^ "." in
+  let n = String.length prefix in
+  List.map
+    (fun (k, v) -> (String.sub k n (String.length k - n), v))
+    (Counters.to_list ~prefix t.counters)
 
-let vm_stats t =
-  [
-    ("canonical", if t.vm_canon then "1" else "0");
-    ("compiled", string_of_int t.vm.v_compiled);
-    ("deopts", string_of_int t.vm.v_deopts);
-    ("slot_hits", string_of_int t.vm.v_slot_hits);
-  ]
+let compile_stats t = section t "compile"
+let vm_stats t = section t "vm"
 
 let clear_compile_caches t =
   Hashtbl.reset t.script_cache;
   Hashtbl.reset t.expr_cache
-
-let reset_compile_stats t =
-  let s = t.stats in
-  s.script_hits <- 0;
-  s.script_misses <- 0;
-  s.script_evictions <- 0;
-  s.script_compiles <- 0;
-  s.expr_hits <- 0;
-  s.expr_misses <- 0;
-  s.expr_evictions <- 0;
-  s.expr_compiles <- 0;
-  s.parse_passes <- 0
-
-let compile_stats t =
-  let s = t.stats in
-  [
-    ("enabled", if t.compile_enabled then "1" else "0");
-    ("script_cache_size", string_of_int (Hashtbl.length t.script_cache));
-    ("script_hits", string_of_int s.script_hits);
-    ("script_misses", string_of_int s.script_misses);
-    ("script_evictions", string_of_int s.script_evictions);
-    ("script_compiles", string_of_int s.script_compiles);
-    ("expr_cache_size", string_of_int (Hashtbl.length t.expr_cache));
-    ("expr_hits", string_of_int s.expr_hits);
-    ("expr_misses", string_of_int s.expr_misses);
-    ("expr_evictions", string_of_int s.expr_evictions);
-    ("expr_compiles", string_of_int s.expr_compiles);
-    ("parse_passes", string_of_int s.parse_passes);
-  ]
 
 let set_time_source t f = t.time_source <- f
 
@@ -969,7 +934,7 @@ let cancel ?(unwind = false) ?message t =
     | None -> if unwind then "eval unwound" else "eval canceled"
   in
   t.cancel_request <- Some (msg, unwind);
-  t.guard.g_cancels <- t.guard.g_cancels + 1;
+  Counters.incr t.guard c_cancels;
   recompute_guard t
 
 let cancel_pending t = t.cancel_request <> None
@@ -981,7 +946,7 @@ let unwinding t = t.unwinding
    is ordinary again and [catch] must work. *)
 let clear_unwinding t = t.unwinding <- false
 
-let denied_count t = t.guard.g_denied
+let denied_count t = Counters.get t.guard c_denied
 
 (* One boundary check.  Callers test [guard_active] first, so this only
    runs when some limit or cancellation is armed.  [spend] is true for a
@@ -1000,7 +965,7 @@ let guard_check t ~spend =
          propagate through catch like limit errors. *)
       t.cancel_request <- None;
       t.unwinding <- unwind;
-      t.guard.g_cancelled <- t.guard.g_cancelled + 1;
+      Counters.incr t.guard c_cancelled;
       recompute_guard t;
       Some msg
     | None ->
@@ -1008,12 +973,12 @@ let guard_check t ~spend =
         t.tripped <- Some k;
         t.unwinding <- true;
         (match k with
-        | Limit_time -> t.guard.g_time_exceeded <- t.guard.g_time_exceeded + 1
+        | Limit_time -> Counters.incr t.guard c_time_exceeded
         | Limit_commands ->
-          t.guard.g_cmd_exceeded <- t.guard.g_cmd_exceeded + 1);
+          Counters.incr t.guard c_cmd_exceeded);
         Some (limit_message k)
       in
-      t.guard.g_checks <- t.guard.g_checks + 1;
+      Counters.incr t.guard c_checks;
       let cmd_hit =
         spend && t.limit_cmds > 0
         && begin
@@ -1047,11 +1012,11 @@ let slave_names t =
     (Hashtbl.fold (fun k _ acc -> k :: acc) t.slaves [])
 
 let add_slave t name slave =
-  (* Guard stats are shared down the tree so an application's metrics see
-     slave activity without walking the tree on every snapshot. *)
+  (* The slave's guard counts into the root's block, so an application's
+     metrics see slave activity without walking the tree. *)
   slave.guard <- t.guard;
   Hashtbl.replace t.slaves name slave;
-  t.guard.g_creates <- t.guard.g_creates + 1
+  Counters.incr t.guard c_creates
 
 let rec delete_slave t name =
   match Hashtbl.find_opt t.slaves name with
@@ -1060,17 +1025,8 @@ let rec delete_slave t name =
     (* Recursive teardown: a master owns its whole subtree. *)
     List.iter (fun n -> ignore (delete_slave s n)) (slave_names s);
     Hashtbl.remove t.slaves name;
-    t.guard.g_deletes <- t.guard.g_deletes + 1;
+    Counters.incr t.guard c_deletes;
     true
-
-let rec count_slaves t =
-  Hashtbl.fold (fun _ s acc -> acc + 1 + count_slaves s) t.slaves 0
-
-let rec count_safe_slaves t =
-  Hashtbl.fold
-    (fun _ s acc ->
-      acc + (if s.safe then 1 else 0) + count_safe_slaves s)
-    t.slaves 0
 
 let hide_command t name =
   match Hashtbl.find_opt t.commands name with
@@ -1117,48 +1073,7 @@ let alias_names t =
   List.sort String.compare
     (Hashtbl.fold (fun k _ acc -> k :: acc) t.aliases [])
 
-let count_alias_call t = t.guard.g_alias_calls <- t.guard.g_alias_calls + 1
-
-(* ------------------------------------------------------------------ *)
-(* Guard metrics exports *)
-
-let reset_guard_stats t =
-  let g = t.guard in
-  g.g_checks <- 0;
-  g.g_time_exceeded <- 0;
-  g.g_cmd_exceeded <- 0;
-  g.g_cancels <- 0;
-  g.g_cancelled <- 0;
-  g.g_denied <- 0;
-  g.g_recursion_exceeded <- 0;
-  g.g_creates <- 0;
-  g.g_deletes <- 0;
-  g.g_alias_calls <- 0
-
-let limit_stats t =
-  let g = t.guard in
-  [
-    ("checks", string_of_int g.g_checks);
-    ("time_exceeded", string_of_int g.g_time_exceeded);
-    ("cmd_exceeded", string_of_int g.g_cmd_exceeded);
-    ("cancels", string_of_int g.g_cancels);
-    ("cancelled", string_of_int g.g_cancelled);
-    ("denied", string_of_int g.g_denied);
-    ("recursion_exceeded", string_of_int g.g_recursion_exceeded);
-  ]
-
-let interp_stats t =
-  let g = t.guard in
-  [
-    ("slaves", string_of_int (count_slaves t));
-    ("safe_slaves", string_of_int (count_safe_slaves t));
-    ("creates", string_of_int g.g_creates);
-    ("deletes", string_of_int g.g_deletes);
-    ("alias_calls", string_of_int g.g_alias_calls);
-    ("recursionlimit", string_of_int t.recursionlimit);
-    ("time_limit_ms", string_of_int t.limit_time_ms);
-    ("command_limit", string_of_int t.limit_cmds);
-  ]
+let count_alias_call t = Counters.incr t.guard c_alias_calls
 
 (* ------------------------------------------------------------------ *)
 (* Parser / evaluator *)
@@ -1179,7 +1094,7 @@ let rec eval_in t src pos ~bracket =
     t.unwinding <- false
   end;
   if t.depth > t.recursionlimit then begin
-    t.guard.g_recursion_exceeded <- t.guard.g_recursion_exceeded + 1;
+    Counters.incr t.guard c_recursion_exceeded;
     (Tcl_error, "too many nested evaluations (infinite loop?)", n)
   end
   else begin
@@ -1419,7 +1334,7 @@ and invoke_command t name words =
     if Hashtbl.mem t.hidden name then begin
       (* A hidden command is deliberately withheld (safe slave or send
          guard): report a denial, never fall through to [unknown]. *)
-      t.guard.g_denied <- t.guard.g_denied + 1;
+      Counters.incr t.guard c_denied;
       ( Tcl_error,
         Printf.sprintf "permission denied: command \"%s\" is hidden" name )
     end
@@ -1477,7 +1392,7 @@ and call_proc_ref t name p words =
       Fun.protect
         ~finally:(fun () -> t.stack <- List.tl t.stack)
         (fun () ->
-          t.stats.parse_passes <- t.stats.parse_passes + 1;
+          Counters.incr t.counters c_parse_passes;
           let status, v, _ = eval_in t p.body 0 ~bracket:false in
           (status, v))
     in
@@ -1499,7 +1414,7 @@ and exec_vm t (want : wantv) (code : frame Vm.code) =
     t.unwinding <- false
   end;
   if t.depth > t.recursionlimit then begin
-    t.guard.g_recursion_exceeded <- t.guard.g_recursion_exceeded + 1;
+    Counters.incr t.guard c_recursion_exceeded;
     (Tcl_error, "too many nested evaluations (infinite loop?)")
   end
   else begin
@@ -1553,7 +1468,7 @@ and vref_cell t (r : frame Vm.vref) : Tval.t =
     if f.fgen = 0 && i < Array.length f.lcells then (
       match f.lcells.(i) with
       | Some c ->
-        t.vm.v_slot_hits <- t.vm.v_slot_hits + 1;
+        Counters.incr t.counters c_slot_hits;
         c
       | None -> raise_notrace Vm_unbound)
     else (
@@ -1563,7 +1478,7 @@ and vref_cell t (r : frame Vm.vref) : Tval.t =
   | Vm.Rname (name, cache) -> (
     match !cache with
     | Some (cf, g, cell) when cf == f && g = f.fgen ->
-      t.vm.v_slot_hits <- t.vm.v_slot_hits + 1;
+      Counters.incr t.counters c_slot_hits;
       cell
     | _ -> (
       match Hashtbl.find_opt f.vars name with
@@ -1863,7 +1778,7 @@ and tval_of_value (v : Expr.value) =
    exec_vm's depth-0 reset can never fire here. *)
 and wexpr_val t (e : frame Vm.vexpr) (orig : Compile.command) : Expr.value =
   if t.depth > t.recursionlimit then begin
-    t.guard.g_recursion_exceeded <- t.guard.g_recursion_exceeded + 1;
+    Counters.incr t.guard c_recursion_exceeded;
     raise (Propagate (Tcl_error, "too many nested evaluations (infinite loop?)"))
   end;
   (match if t.guard_active then guard_check t ~spend:false else None with
@@ -2090,7 +2005,7 @@ and exec_vinsn t (want : wantv) (insn : frame Vm.insn) =
     when not t.vm_canon ->
     (* The builtin may have been redefined: dispatch the command's words
        like any other invoke. *)
-    t.vm.v_deopts <- t.vm.v_deopts + 1;
+    Counters.incr t.counters c_deopts;
     exec_vinsn t want (Lazy.force slow.Vm.ivk)
   | Vm.Iset { dst; value; slow = { Vm.cmd = orig; _ } } -> (
     match value with
@@ -2251,7 +2166,7 @@ and proc_vm_code t p =
         ~formals:(List.map fst p.formals)
         (compile_counted t p.body)
     in
-    t.vm.v_compiled <- t.vm.v_compiled + 1;
+    Counters.incr t.counters c_compiled;
     p.pvm <- Some code;
     code
 
@@ -2299,7 +2214,7 @@ and invoke_vm1 t want (nametv : Tval.t) (v1 : Tval.t) =
 
 and invoke_vm_missing t name (words : Tval.t list) =
   if Hashtbl.mem t.hidden name then begin
-    t.guard.g_denied <- t.guard.g_denied + 1;
+    Counters.incr t.guard c_denied;
     (Tcl_error, Printf.sprintf "permission denied: command \"%s\" is hidden" name)
   end
   else (
@@ -2401,7 +2316,7 @@ and finish_proc name ((status, v) as res) =
 let eval t src =
   if t.compile_enabled then exec_vm t Vstring (script_entry_for t src).s_code
   else begin
-    t.stats.parse_passes <- t.stats.parse_passes + 1;
+    Counters.incr t.counters c_parse_passes;
     let status, v, _ = eval_in t src 0 ~bracket:false in
     (status, v)
   end

@@ -47,9 +47,16 @@ val add_exn_translator : (exn -> string option) -> unit
 val ok : string -> result
 (** [(Tcl_ok, value)]. *)
 
-val create : unit -> t
+val create : ?counters:Counters.t -> unit -> t
 (** A bare interpreter with no commands registered (see
-    {!Builtins.install} / {!Builtins.new_interp}). *)
+    {!Builtins.install} / {!Builtins.new_interp}) that counts into
+    [counters] (default: a block of its own): the [tcl.compile.*],
+    [tcl.vm.*] and [tcl.lint.*] entries, and — unless it becomes a slave,
+    whose guard counts into its master's block — [tcl.limit.*] and
+    [tcl.interp.*]. *)
+
+val counters : t -> Counters.t
+(** The block given to {!create}. *)
 
 (** {1 Evaluation} *)
 
@@ -99,21 +106,17 @@ val compile_enabled : t -> bool
 val clear_compile_caches : t -> unit
 (** Drop all cached scripts and expressions (counters are kept). *)
 
-val reset_compile_stats : t -> unit
-
 val compile_stats : t -> (string * string) list
-(** Counters for the metrics registry ([tcl.compile.*]): cache hits,
-    misses, evictions, compiles for scripts and expressions, current
-    cache sizes, and the total number of parse passes over script
+(** The [tcl.compile.*] entries of {!counters}, without the prefix:
+    cache hits, misses, evictions, compiles for scripts and expressions,
+    current cache sizes, and the total number of parse passes over script
     text. *)
 
-val reset_vm_stats : t -> unit
-
 val vm_stats : t -> (string * string) list
-(** Counters for the metrics registry ([tcl.vm.*]): whether the VM is
-    currently canonical, lowered code objects built, per-instruction
-    deopts to dispatched commands, and variable accesses served by local
-    slots or inline caches. *)
+(** The [tcl.vm.*] entries of {!counters}, without the prefix: whether
+    the VM is currently canonical, lowered code objects built,
+    per-instruction deopts to dispatched commands, and variable accesses
+    served by local slots or inline caches. *)
 
 val mark_canonical : t -> unit
 (** Snapshot the current definitions of the structural commands the VM
@@ -204,22 +207,12 @@ val set_recursion_limit : t -> int -> unit
 val denied_count : t -> int
 (** Number of hidden-command invocation denials so far. *)
 
-val reset_guard_stats : t -> unit
-
-val limit_stats : t -> (string * string) list
-(** Counters for the metrics registry ([tcl.limit.*]): boundary checks,
-    time/command trips, cancels requested and delivered, hidden-command
-    denials, recursion overflows. *)
-
-val interp_stats : t -> (string * string) list
-(** Counters for the metrics registry ([tcl.interp.*]): live slave
-    counts, creates/deletes, alias calls, configured limits. *)
-
 (** {1 Slave interpreters}
 
     A master owns a tree of named slave interpreters (deleted
-    recursively with it). Guard statistics are shared down the tree so
-    an application's metrics aggregate slave activity. The [interp]
+    recursively with it). A slave's guard counts into the block of the
+    root of its tree, so an application's metrics aggregate slave
+    activity. The [interp]
     command ({!Interp_cmd}) is the script-level interface. *)
 
 val is_safe : t -> bool
@@ -398,14 +391,8 @@ val bad_subcommand : t -> cmd:string -> string -> 'a
 val alternatives : string list -> string
 (** Render a list Tcl-style: ["a"], ["a or b"], ["a, b, or c"]. *)
 
-(** {1 Lint counters}
-
-    Bumped by {!Lint.analyze}; exported as [tcl.lint.*] by the
-    toolkit's metrics registry. *)
-
 val note_lint : t -> errors:int -> warnings:int -> unit
-val reset_lint_stats : t -> unit
-val lint_stats : t -> (string * string) list
+(** Count one {!Lint.analyze} run and its findings ([tcl.lint.*]). *)
 
 (** {1 Environment hooks} *)
 

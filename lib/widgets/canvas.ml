@@ -73,6 +73,7 @@ type state = {
   mutable next_top : int; (* serial for the next item placed on top *)
   mutable next_bottom : int; (* serial for the next item sent to bottom *)
   mutable dead_keys : int list; (* op-store keys to clear at next repaint *)
+  mutable text_font : string; (* the -font the text item bboxes are for *)
   use_index : bool; (* captured at creation from the ablation switch *)
 }
 
@@ -95,6 +96,7 @@ let new_state () =
     next_top = 1;
     next_bottom = 0;
     dead_keys = [];
+    text_font = "";
     use_index = !index_enabled;
   }
 
@@ -107,7 +109,20 @@ let data w =
 
 let item_count w = (data w).len
 
-let metrics w = w.Tk.Core.app.Tk.Core.metrics
+(* Spatial-index queries, the candidates they yielded, and queries
+   answered by the linear fallback (index ablated); items examined and
+   (re-)emitted by repaints; full and damage-clipped repaints; tag-indexed
+   bulk verbs (move/delete/itemconfigure/... on a tag). *)
+let c_index_queries = Counters.counter "tk.canvas.index_queries"
+let c_index_hits = Counters.counter "tk.canvas.index_hits"
+let c_linear_scans = Counters.counter "tk.canvas.linear_scans"
+let c_items_considered = Counters.counter "tk.canvas.items_considered"
+let c_items_drawn = Counters.counter "tk.canvas.items_drawn"
+let c_full_redraws = Counters.counter "tk.canvas.full_redraws"
+let c_damage_redraws = Counters.counter "tk.canvas.damage_redraws"
+let c_bulk_ops = Counters.counter "tk.canvas.bulk_ops"
+
+let counters w = w.Tk.Core.app.Tk.Core.counters
 
 let get s slot =
   match s.arr.(slot) with
@@ -229,19 +244,19 @@ let grid_remove s it bbox =
    fresh stamp and marks the items it reports with it, so the walk
    allocates nothing per candidate. [f] must not start another query. *)
 let iter_rect w s r f =
-  let m = metrics w in
+  let m = counters w in
   if not s.use_index then begin
-    m.Tk.Metrics.canvas_linear_scans <- m.Tk.Metrics.canvas_linear_scans + 1;
+    Counters.incr m c_linear_scans;
     iter_items s (fun it -> if Geom.intersects it.bbox r then f it)
   end
   else begin
-    m.Tk.Metrics.canvas_index_queries <- m.Tk.Metrics.canvas_index_queries + 1;
+    Counters.incr m c_index_queries;
     s.query_stamp <- s.query_stamp + 1;
     let stamp = s.query_stamp in
     let consider it =
       if it.stamp <> stamp then begin
         it.stamp <- stamp;
-        m.Tk.Metrics.canvas_index_hits <- m.Tk.Metrics.canvas_index_hits + 1;
+        Counters.incr m c_index_hits;
         if Geom.intersects it.bbox r then f it
       end
     in
@@ -358,7 +373,7 @@ let by_display_order items =
    numeric id that doesn't exist (the historical canvas behaviour, pinned
    by tests); a tag matching nothing is an empty result either way. *)
 let resolve ?(strict = true) w s spec =
-  let m = metrics w in
+  let m = counters w in
   if spec = "all" then by_display_order (live_items s)
   else
     match int_of_string_opt spec with
@@ -368,7 +383,7 @@ let resolve ?(strict = true) w s spec =
       | None ->
         if strict then failf "item \"%s\" doesn't exist" spec else [])
     | None -> (
-      m.Tk.Metrics.canvas_bulk_ops <- m.Tk.Metrics.canvas_bulk_ops + 1;
+      Counters.incr m c_bulk_ops;
       match Hashtbl.find_opt s.tag_index spec with
       | Some set ->
         by_display_order
@@ -476,17 +491,16 @@ let clear_dead_keys w s =
    (found through the index), and with [all] every one of them, otherwise
    only the dirty ones, re-emits its ops. *)
 let repaint w s clip ~all =
-  let m = metrics w in
+  let m = counters w in
   let conn = w.Tk.Core.app.Tk.Core.conn in
   let gc = gc_memo w in
   iter_rect w s (damage_pad clip) (fun it ->
-      m.Tk.Metrics.canvas_items_considered <-
-        m.Tk.Metrics.canvas_items_considered + 1;
+      Counters.incr m c_items_considered;
       if all || it.dirty then begin
         if not all then Server.clear_keyed conn w.Tk.Core.win it.zserial;
         emit_item w gc it;
         it.dirty <- false;
-        m.Tk.Metrics.canvas_items_drawn <- m.Tk.Metrics.canvas_items_drawn + 1
+        Counters.incr m c_items_drawn
       end)
 
 (* Full redraw (class display hook; the core has already cleared the
@@ -494,8 +508,8 @@ let repaint w s clip ~all =
    off-window items emit nothing. *)
 let display w =
   let s = data w in
-  let m = metrics w in
-  m.Tk.Metrics.canvas_full_redraws <- m.Tk.Metrics.canvas_full_redraws + 1;
+  let m = counters w in
+  Counters.incr m c_full_redraws;
   s.dead_keys <- [];
   let gc color = Tk.Core.widget_gc w ~fg:color () in
   let app = w.Tk.Core.app in
@@ -517,8 +531,8 @@ let display w =
    takes a drawn item off the window has queued its key in [dead_keys]. *)
 let display_damaged w clip =
   let s = data w in
-  let m = metrics w in
-  m.Tk.Metrics.canvas_damage_redraws <- m.Tk.Metrics.canvas_damage_redraws + 1;
+  let m = counters w in
+  Counters.incr m c_damage_redraws;
   clear_dead_keys w s;
   repaint w s clip ~all:false
 
@@ -539,6 +553,23 @@ let item_changed w s it ~old_bbox =
      the ops it left behind. *)
   if not (visible w nb) then drop_ops w s it ~bbox:old_bbox;
   Tk.Core.schedule_damage w (damage_pad (Geom.union old_bbox nb))
+
+(* Text items measure their glyph box in the canvas's -font: a new font
+   moves every text bbox, and the index with it. *)
+let refresh_text_bboxes w s =
+  let font = Tk.Core.cget w "-font" in
+  if font <> s.text_font then begin
+    s.text_font <- font;
+    iter_items s (fun it ->
+        if it.kind = Text_item then begin
+          let nb = item_bbox w it in
+          if nb <> it.bbox then begin
+            grid_remove s it it.bbox;
+            it.bbox <- nb;
+            grid_insert s it
+          end
+        end)
+  end
 
 let coord_arity = function Line | Rectangle -> 4 | Text_item -> 2
 
@@ -897,6 +928,9 @@ let make_class () =
           Server.set_window_background w.Tk.Core.app.Tk.Core.conn
             w.Tk.Core.win
             (Tk.Core.get_color w "-background"));
+      (match w.Tk.Core.data with
+      | Canvas_data s -> refresh_text_bboxes w s
+      | _ -> ());
       compute_geometry w;
       Tk.Core.schedule_redraw w);
   cls.Tk.Core.display <- display;

@@ -17,6 +17,18 @@ let put canvas ~row ~col c =
   if row >= 0 && row < canvas.rows && col >= 0 && col < canvas.cols then
     canvas.grid.(row).(col) <- c
 
+(* Every primitive is clipped per cell: it writes a cell only when the
+   cell covers a pixel of the clip. *)
+let put_clipped canvas ~clip ~row ~col c =
+  let x = canvas.origin.Geom.x + (col * scale_x)
+  and y = canvas.origin.Geom.y + (row * scale_y) in
+  if
+    x < clip.Geom.rx + clip.Geom.rwidth
+    && clip.Geom.rx < x + scale_x
+    && y < clip.Geom.ry + clip.Geom.rheight
+    && clip.Geom.ry < y + scale_y
+  then put canvas ~row ~col c
+
 (* Choose a fill character from a color's luminance. *)
 let shade color =
   let l = Color.luminance color in
@@ -53,17 +65,17 @@ let outline_rect canvas ~clip rect ~corner ~horiz ~vert =
     in
     if row1 > row0 && col1 > col0 then begin
       for col = col0 + 1 to col1 - 1 do
-        put canvas ~row:row0 ~col horiz;
-        put canvas ~row:row1 ~col horiz
+        put_clipped canvas ~clip ~row:row0 ~col horiz;
+        put_clipped canvas ~clip ~row:row1 ~col horiz
       done;
       for row = row0 + 1 to row1 - 1 do
-        put canvas ~row ~col:col0 vert;
-        put canvas ~row ~col:col1 vert
+        put_clipped canvas ~clip ~row ~col:col0 vert;
+        put_clipped canvas ~clip ~row ~col:col1 vert
       done;
-      put canvas ~row:row0 ~col:col0 corner;
-      put canvas ~row:row0 ~col:col1 corner;
-      put canvas ~row:row1 ~col:col0 corner;
-      put canvas ~row:row1 ~col:col1 corner
+      put_clipped canvas ~clip ~row:row0 ~col:col0 corner;
+      put_clipped canvas ~clip ~row:row0 ~col:col1 corner;
+      put_clipped canvas ~clip ~row:row1 ~col:col0 corner;
+      put_clipped canvas ~clip ~row:row1 ~col:col1 corner
     end
 
 let draw_text canvas ~clip ~x ~y text =
@@ -99,11 +111,16 @@ let draw_line canvas ~clip ~x1 ~y1 ~x2 ~y2 color =
     done
   end
   else begin
-    (* Diagonals: mark endpoints only (enough for diagnostics). *)
-    let row, col = cell_of_px canvas ~x:x1 ~y:y1 in
-    put canvas ~row ~col '*';
-    let row, col = cell_of_px canvas ~x:x2 ~y:y2 in
-    put canvas ~row ~col '*'
+    (* Diagonals: mark the endpoints inside the clip only (enough for
+       diagnostics). *)
+    let mark x y =
+      if Geom.contains clip { Geom.x; y } then begin
+        let row, col = cell_of_px canvas ~x ~y in
+        put canvas ~row ~col '*'
+      end
+    in
+    mark x1 y1;
+    mark x2 y2
   end
 
 let stipple_rect canvas ~clip rect bitmap color =

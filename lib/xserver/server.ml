@@ -1,11 +1,17 @@
-type stats = {
-  mutable total_requests : int;
-  mutable round_trips : int;
-  mutable resource_allocs : int;
-  mutable window_requests : int;
-  mutable draw_requests : int;
-  mutable property_requests : int;
-}
+(* Requests by class, counted into the block passed to [connect]. *)
+let c_requests_total = Counters.counter "requests_total"
+let c_round_trips = Counters.counter "round_trips"
+let c_requests_resource = Counters.counter "requests_resource"
+let c_requests_window = Counters.counter "requests_window"
+let c_requests_draw = Counters.counter "requests_draw"
+let c_requests_property = Counters.counter "requests_property"
+
+(* Computed: the display's fault counts (display-global, as other
+   clients' absorption accounting rides on them, so no application's
+   reset touches them) and the trace ring's length. *)
+let c_faults_injected = Counters.counter "faults_injected"
+let c_faults_absorbed = Counters.counter "faults_absorbed"
+let c_trace_records = Counters.counter "trace_records"
 
 type req_kind = Resource | Window_op | Draw | Property | Other
 
@@ -57,23 +63,16 @@ and connection = {
   cname : string;
   server : t;
   queue : Event.delivery Queue.t;
-  cstats : stats;
+  counters : Counters.t;
+  mutable serial : int;
+      (* protocol requests issued so far: never reset, unlike the
+         requests_total counter *)
   mutable dead : bool;
   mutable crashed : bool; (* dead by crash, not orderly close *)
-  mutable crash_at : int; (* crash plan: die at this request number; 0 = off *)
+  mutable crash_at : int; (* crash plan: die at this serial; 0 = off *)
   mutable tracing : bool;
   mutable trace : req_kind Trace.t;
 }
-
-let new_stats () =
-  {
-    total_requests = 0;
-    round_trips = 0;
-    resource_allocs = 0;
-    window_requests = 0;
-    draw_requests = 0;
-    property_requests = 0;
-  }
 
 let create ?(width = 1024) ?(height = 768) () =
   let xids = Xid.allocator () in
@@ -115,14 +114,15 @@ let create ?(width = 1024) ?(height = 768) () =
       };
   }
 
-let connect server ~name =
+let connect ?(counters = Counters.create ()) server ~name =
   let conn =
     {
       cid = server.next_cid;
       cname = name;
       server;
       queue = Queue.create ();
-      cstats = new_stats ();
+      counters;
+      serial = 0;
       dead = false;
       crashed = false;
       crash_at = 0;
@@ -132,6 +132,10 @@ let connect server ~name =
   in
   server.next_cid <- server.next_cid + 1;
   Hashtbl.replace server.connections conn.cid conn;
+  let compute c f = Counters.compute counters c f in
+  compute c_faults_injected (fun () -> server.faults.injected);
+  compute c_faults_absorbed (fun () -> server.faults.absorbed);
+  compute c_trace_records (fun () -> Trace.length conn.trace);
   conn
 
 let root t = t.root_win.Window.id
@@ -139,16 +143,8 @@ let root_window t = t.root_win
 let server_of conn = conn.server
 let connection_name conn = conn.cname
 let connection_id conn = conn.cid
-let stats conn = conn.cstats
-
-let reset_stats conn =
-  let s = conn.cstats in
-  s.total_requests <- 0;
-  s.round_trips <- 0;
-  s.resource_allocs <- 0;
-  s.window_requests <- 0;
-  s.draw_requests <- 0;
-  s.property_requests <- 0
+let counters conn = conn.counters
+let serial conn = conn.serial
 
 let time t = t.clock
 let advance_time t ms = t.clock <- t.clock + max 0 ms
@@ -174,10 +170,6 @@ let clear_faults t =
 
 let faults_injected t = t.faults.injected
 let faults_absorbed t = t.faults.absorbed
-
-let reset_fault_counters t =
-  t.faults.injected <- 0;
-  t.faults.absorbed <- 0
 
 let note_absorbed t (e : Xerror.info) =
   if e.Xerror.injected then begin
@@ -206,7 +198,7 @@ let kind_matches plan kind =
 
 let maybe_inject conn kind resource =
   let plan = conn.server.faults in
-  let serial = conn.cstats.total_requests in
+  let serial = conn.serial in
   match plan.scripted with
   | code :: rest when kind_matches plan kind ->
     plan.scripted <- rest;
@@ -229,7 +221,7 @@ let window_exn conn id =
   match lookup_window conn.server id with
   | Some w -> w
   | None ->
-    Xerror.raise_error ~resource:id ~serial:conn.cstats.total_requests
+    Xerror.raise_error ~resource:id ~serial:conn.serial
       Xerror.BadWindow
 
 let find_connection t cid = Hashtbl.find_opt t.connections cid
@@ -372,7 +364,7 @@ let connection_alive conn = not conn.dead
 let connection_crashed conn = conn.crashed
 
 let dead_conn_error conn =
-  Xerror.raise_error ~resource:Xid.none ~serial:conn.cstats.total_requests
+  Xerror.raise_error ~resource:Xid.none ~serial:conn.serial
     Xerror.BadConnection
 
 (* ------------------------------------------------------------------ *)
@@ -402,7 +394,7 @@ let record_trace conn kind resource outcome =
   if conn.tracing then
     Trace.add conn.trace
       {
-        Trace.serial = conn.cstats.total_requests;
+        Trace.serial = conn.serial;
         kind;
         resource;
         time = conn.server.clock;
@@ -413,23 +405,24 @@ let record_trace conn kind resource outcome =
    timestamps stay ordered. The fault plan rejects the request after it
    has been counted, as a real server rejects a request it received. A
    dead connection rejects everything; the crash plan kills the
-   connection the moment its request counter reaches [crash_at]. *)
+   connection the moment its request serial reaches [crash_at]. *)
 let request ?(round_trip = false) ?(resource = Xid.none) conn kind =
   if conn.dead then begin
     record_trace conn kind resource Trace.Bad_connection;
     dead_conn_error conn
   end;
-  let s = conn.cstats in
-  s.total_requests <- s.total_requests + 1;
-  if round_trip then s.round_trips <- s.round_trips + 1;
+  let c = conn.counters in
+  conn.serial <- conn.serial + 1;
+  Counters.incr c c_requests_total;
+  if round_trip then Counters.incr c c_round_trips;
   (match kind with
-  | Resource -> s.resource_allocs <- s.resource_allocs + 1
-  | Window_op -> s.window_requests <- s.window_requests + 1
-  | Draw -> s.draw_requests <- s.draw_requests + 1
-  | Property -> s.property_requests <- s.property_requests + 1
+  | Resource -> Counters.incr c c_requests_resource
+  | Window_op -> Counters.incr c c_requests_window
+  | Draw -> Counters.incr c c_requests_draw
+  | Property -> Counters.incr c c_requests_property
   | Other -> ());
   conn.server.clock <- conn.server.clock + 1;
-  if conn.crash_at > 0 && s.total_requests >= conn.crash_at then begin
+  if conn.crash_at > 0 && conn.serial >= conn.crash_at then begin
     kill_connection conn;
     record_trace conn kind resource Trace.Bad_connection;
     dead_conn_error conn
@@ -478,7 +471,7 @@ let destroy_window conn id =
   | Some w ->
     if w.Window.id = t.root_win.Window.id then
       (* X refuses to destroy the root window. *)
-      Xerror.raise_error ~resource:id ~serial:conn.cstats.total_requests
+      Xerror.raise_error ~resource:id ~serial:conn.serial
         Xerror.BadWindow;
     let doomed = Window.descendants w in
     (* Notify deepest-first, as X does. *)

@@ -4,7 +4,9 @@
     sized root window, an atom table, per-client connections with event
     queues, selections, a pointer and a keyboard. Clients talk to it
     through {!connection} values; every call that would be an X protocol
-    request increments that connection's request counters, so the traffic
+    request takes the connection's next serial and bumps its request
+    counters ([requests_total], [round_trips], [requests_window], ... in
+    the block passed to {!connect}), so the traffic
     saved by Tk's caches (paper §3.3) is directly measurable. Calls marked
     "round trip" are those that block on a reply in real X.
 
@@ -16,21 +18,14 @@ type t
 
 type connection
 
-(** Request counters for one connection. *)
-type stats = {
-  mutable total_requests : int;
-  mutable round_trips : int;
-  mutable resource_allocs : int;  (** colors, fonts, cursors, bitmaps *)
-  mutable window_requests : int;
-  mutable draw_requests : int;
-  mutable property_requests : int;
-}
-
 val create : ?width:int -> ?height:int -> unit -> t
 (** A display whose root window has the given size (default 1024x768). *)
 
-val connect : t -> name:string -> connection
-(** Open a client connection ([name] is for diagnostics). *)
+val connect : ?counters:Counters.t -> t -> name:string -> connection
+(** Open a client connection ([name] is for diagnostics) that counts its
+    requests into [counters] (default: a block of its own), where it also
+    computes [trace_records] and the display's [faults_injected] and
+    [faults_absorbed]. *)
 
 val close : connection -> unit
 (** Orderly shutdown: destroys every window the client created (as the X
@@ -53,7 +48,7 @@ val connection_crashed : connection -> bool
 
 val set_crash_plan : connection -> at_request:int -> unit
 (** Arm a scriptable crash: the connection dies (as by
-    {!kill_connection}) the moment its total request count reaches
+    {!kill_connection}) the moment its request {!serial} reaches
     [at_request], and that request raises [BadConnection]. [0] disarms.
     Deterministic: same request stream, same point of death — the
     crash-lifecycle analogue of {!set_fault_plan}. *)
@@ -66,8 +61,13 @@ val root_window : t -> Window.t
 val server_of : connection -> t
 val connection_name : connection -> string
 val connection_id : connection -> int
-val stats : connection -> stats
-val reset_stats : connection -> unit
+val counters : connection -> Counters.t
+(** The block given to {!connect}. *)
+
+val serial : connection -> int
+(** Requests issued on the connection so far. Unlike the [requests_total]
+    counter, a reset never rewinds it: it numbers X errors and trace
+    records and drives the crash plan. *)
 
 val time : t -> int
 (** The server's logical clock (ms). It advances on every request and
@@ -84,7 +84,7 @@ val advance_time : t -> int -> unit
     succeeding silently. In addition, a deterministic fault-injection
     plan can make the server reject otherwise-valid requests, to test
     that every layer above the protocol degrades gracefully. Rejected
-    requests are still counted in the connection's {!stats}. *)
+    requests are still counted. *)
 
 (** Request classes, used for per-class accounting and for scoping
     injected faults ([Resource] = color/font/cursor/bitmap/GC allocation). *)
@@ -99,8 +99,8 @@ val kind_name : req_kind -> string
     tracing is enabled, every protocol request appends one record
     (serial, class, resource, logical timestamp, outcome); the ring
     overwrites its oldest entry once full, so tracing can stay on for a
-    whole session. Requests made while tracing is off are only counted
-    in {!stats}, not traced. *)
+    whole session. Requests made while tracing is off are only counted,
+    not traced. *)
 
 val set_tracing : ?capacity:int -> connection -> bool -> unit
 (** Enable/disable tracing. [capacity] (default {!Trace.default_capacity})
@@ -150,7 +150,6 @@ val note_absorbed : t -> Xerror.info -> unit
     so genuine errors (e.g. a send to a dead peer) don't skew the
     injected/absorbed invariant. *)
 
-val reset_fault_counters : t -> unit
 
 (** {1 Atoms} *)
 

@@ -164,7 +164,7 @@ let random_op rng ids next_id away =
     Printf.sprintf "%d %d %d %d" (rint rng (-60) 340) (rint rng (-40) 240)
       (rint rng (-60) 340) (rint rng (-40) 240)
   in
-  let choice = if !ids = [] then 0 else Random.State.int rng 11 in
+  let choice = if !ids = [] then 0 else Random.State.int rng 12 in
   match choice with
   | 0 | 1 | 2 -> (
     let id = !next_id in
@@ -233,6 +233,11 @@ let random_op rng ids next_id away =
       in
       away := (spec, dx, dy) :: !away;
       Printf.sprintf ".c move %s %d %d" spec dx dy)
+  | 11 ->
+    (* A new canvas font moves every text item's bbox. *)
+    Printf.sprintf ".c configure -font %s"
+      (if Random.State.bool rng then "fixed"
+       else "-adobe-helvetica-bold-r-normal--24-240")
   | _ ->
     (* Relative restack: distinct ids only (self-reference is an error). *)
     let a = pick_id () and b = pick_id () in
@@ -512,6 +517,58 @@ let visible_tests =
                  indexed)
               true (drawn <= visible))
           [ true; false ] );
+    ( "items reaching past the window paint nothing outside it",
+      fun () ->
+        let server, app = fresh_app () in
+        ignore (run app "canvas .c -width 120 -height 60");
+        ignore (run app "pack append . .c {top}");
+        Tk.Core.update app;
+        let before = Raster.render server () in
+        ignore (run app ".c create rectangle 100 20 300 200");
+        ignore (run app ".c create line 10 10 400 300");
+        Tk.Core.update app;
+        let after = Raster.render server () in
+        let bounds =
+          Window.bounds
+            (Option.get
+               (Server.lookup_window server (canvas_widget app).Tk.Core.win))
+        in
+        let lines s = Array.of_list (String.split_on_char '\n' s) in
+        let before = lines before and after = lines after in
+        let char_at rows row col =
+          if row < Array.length rows && col < String.length rows.(row) then
+            rows.(row).[col]
+          else ' '
+        in
+        let changed_outside = ref [] in
+        Array.iteri
+          (fun row line ->
+            String.iteri
+              (fun col c ->
+                let cell =
+                  Geom.rect ~x:(col * Raster.scale_x) ~y:(row * Raster.scale_y)
+                    ~width:Raster.scale_x ~height:Raster.scale_y
+                in
+                if
+                  c <> char_at before row col
+                  && not (Geom.intersects cell bounds)
+                then changed_outside := (row, col) :: !changed_outside)
+              line)
+          after;
+        check_bool "the items were drawn" true (before <> after);
+        Alcotest.(check (list (pair int int)))
+          "cells changed outside the canvas window" [] !changed_outside );
+    ( "a new canvas -font moves text bboxes and the index with them",
+      fun () ->
+        let _, app = canvas_app () in
+        ignore (run app ".c create text 10 40 -text hello");
+        check_string "fixed" "10 30 40 43" (run app ".c bbox 1");
+        ignore
+          (run app ".c configure -font -adobe-helvetica-bold-r-normal--24-240");
+        check_string "bbox follows the font" "10 21 80 44"
+          (run app ".c bbox 1");
+        check_string "the index finds it there" "1"
+          (run app ".c find overlapping 60 35 80 40") );
     ( "enlarging the window shows items that were off-window",
       fun () ->
         let server, app = canvas_app () in

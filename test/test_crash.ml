@@ -106,7 +106,7 @@ let kill_tests =
       fun () ->
         let server = Server.create () in
         let conn = Server.connect server ~name:"doomed" in
-        let base = (Server.stats conn).Server.total_requests in
+        let base = Server.serial conn in
         Server.set_crash_plan conn ~at_request:(base + 3);
         check_int "armed" (base + 3) (Server.crash_plan conn);
         check_bool "request 1 fine" true (Server.alloc_color conn "red" <> None);
@@ -117,6 +117,28 @@ let kill_tests =
           check_string "code" "BadConnection" (Xerror.code_name e.Xerror.code));
         check_bool "dead afterwards" false (Server.connection_alive conn);
         check_bool "crashed, not closed" true (Server.connection_crashed conn) );
+    ( "xstat reset does not delay an armed crash plan",
+      fun () ->
+        let _server, app, _ = fresh_pair () in
+        ignore
+          (run app
+             "for {set i 0} {$i < 10} {incr i} {\n\
+             \  button .b$i -text $i; pack append . .b$i {top}\n\
+              }\n\
+              update");
+        let n = int_of_string (run app "xstat get requests_total") in
+        Server.set_crash_plan app.Tk.Core.conn ~at_request:(n + 3);
+        ignore (run app "xstat reset");
+        (* Creating, packing and displaying three frames takes well over
+           three requests; the plan counts requests issued, not the
+           counter the reset just zeroed. *)
+        ignore
+          (Tcl.Interp.eval app.Tk.Core.interp
+             "frame .f1; frame .f2; frame .f3\n\
+              pack append . .f1 {top} .f2 {top} .f3 {top}\n\
+              update");
+        check_bool "crashed" true
+          (Server.connection_crashed app.Tk.Core.conn) );
     ( "close reaps windows, clears selections, notifies survivors",
       fun () ->
         let server = Server.create () in
@@ -171,7 +193,7 @@ let send_tests =
         (* The peer crashes on its very next request — which is the one it
            makes while picking up the incoming send. *)
         Server.set_crash_plan b.Tk.Core.conn
-          ~at_request:((Server.stats b.Tk.Core.conn).Server.total_requests + 1);
+          ~at_request:(Server.serial b.Tk.Core.conn + 1);
         let msg = expect_error a "send beta set x 1" in
         check_bool "reported as died" true (contains ~needle:"died" msg);
         check_bool "not reported as a timeout" false

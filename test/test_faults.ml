@@ -16,6 +16,8 @@ let fresh_app ?(name = "test") () =
   let app = Tk_widgets.Tk_widgets_lib.new_app ~server ~name () in
   (server, app)
 
+let fallbacks app = Counters.value app.Tk.Core.counters "rescache_fallbacks"
+
 let run app script =
   match Tcl.Interp.eval_value app.Tk.Core.interp script with
   | Ok v -> v
@@ -155,12 +157,12 @@ let degradation_tests =
         | Some c ->
           check_string "light names stay white" "#ffffff" (Color.to_hex c)
         | None -> Alcotest.fail "expected a fallback color");
-        check_int "two fallbacks" 2 (Tk.Rescache.fallbacks cache);
+        check_int "two fallbacks" 2 (fallbacks app);
         check_int "absorbed = injected" (Server.faults_injected server)
           (Server.faults_absorbed server);
         (* The substitute was cached like a real answer: no new fault. *)
         ignore (Tk.Rescache.color cache "orchid");
-        check_int "cached" 2 (Tk.Rescache.fallbacks cache) );
+        check_int "cached" 2 (fallbacks app) );
     ( "font allocation degrades to the fixed font",
       fun () ->
         let _server, app = fresh_app () in
@@ -179,11 +181,11 @@ let degradation_tests =
         (* Prime the component caches so the scripted fault lands on the
            CreateGC request itself, not on a color lookup. *)
         ignore (Tk.Rescache.gc cache ~foreground:"black" ~background:"white" ());
-        let before = Tk.Rescache.fallbacks cache in
+        let before = fallbacks app in
         Server.script_fault server Xerror.BadAlloc;
         let gc = Tk.Rescache.gc cache ~foreground:"white" ~background:"black" () in
         check_int "null id" Xid.none gc.Gcontext.gc_id;
-        check_int "one fallback" (before + 1) (Tk.Rescache.fallbacks cache);
+        check_int "one fallback" (before + 1) (fallbacks app);
         check_int "absorbed = injected" (Server.faults_injected server)
           (Server.faults_absorbed server) );
     ( "widget operations on a dead window are no-ops",

@@ -268,8 +268,8 @@ let limit_stats_account () =
   ignore (run t "interp create s");
   ignore (run t "interp limit s commands -value 25");
   ignore (expect_error t "interp eval s {while 1 {set spin 1}}");
-  let stats = Tcl.Interp.limit_stats (slave t "s") in
-  let get k = int_of_string (List.assoc k stats) in
+  (* The slave's guard counts into its master's block. *)
+  let get k = Counters.value (Tcl.Interp.counters t) ("tcl.limit." ^ k) in
   check_bool "checks counted" true (get "checks" > 0);
   check_bool "cmd trip counted" true (get "cmd_exceeded" > 0);
   check_int "no time trip" 0 (get "time_exceeded")
@@ -362,16 +362,13 @@ let stats_shared_down_the_tree () =
   let t = new_interp () in
   ignore (run t "interp create -safe s");
   ignore (run t "interp eval s {catch {exit 1}}");
-  (* The master's guard_stats see the slave's denial (shared record). *)
+  (* The master's block counts the slave's denial. *)
   check_bool "master counts slave denial" true (Tcl.Interp.denied_count t > 0);
-  let stats = Tcl.Interp.interp_stats t in
-  let get k = int_of_string (List.assoc k stats) in
+  let get k = Counters.value (Tcl.Interp.counters t) ("tcl.interp." ^ k) in
   check_int "one live slave" 1 (get "slaves");
   check_int "one safe slave" 1 (get "safe_slaves");
   check_bool "creates counted" true (get "creates" >= 1);
   ignore (run t "interp delete s");
-  let stats = Tcl.Interp.interp_stats t in
-  let get k = int_of_string (List.assoc k stats) in
   check_int "none after delete" 0 (get "slaves");
   check_bool "deletes counted" true (get "deletes" >= 1)
 
@@ -381,9 +378,8 @@ let alias_calls_counted () =
   ignore (run t "interp create s");
   ignore (run t "interp alias s n {} noop");
   ignore (run t "interp eval s {n; n; n}");
-  let stats = Tcl.Interp.interp_stats t in
   check_int "three alias calls" 3
-    (int_of_string (List.assoc "alias_calls" stats))
+    (Counters.value (Tcl.Interp.counters t) "tcl.interp.alias_calls")
 
 (* ------------------------------------------------------------------ *)
 (* Subcommand surface errors *)

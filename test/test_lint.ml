@@ -299,16 +299,14 @@ let non_execution_tests =
     ( "lint executes nothing",
       fun () ->
         let _, app = fresh_app () in
-        let requests_before =
-          (Server.stats app.Tk.Core.conn).Server.total_requests
+        let requests () =
+          Counters.value app.Tk.Core.counters "requests_total"
         in
+        let requests_before = requests () in
         ignore
           (run app
              "lint {set foo 1\nbutton .zz -text hi\nproc ghost {} {}\nexit}");
-        let requests_after =
-          (Server.stats app.Tk.Core.conn).Server.total_requests
-        in
-        check_int "no X requests" requests_before requests_after;
+        check_int "no X requests" requests_before (requests ());
         check_string "no variable set" "0" (run app "info exists foo");
         check_bool "no widget command created" false
           (Tcl.Interp.command_exists app.Tk.Core.interp ".zz");

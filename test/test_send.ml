@@ -36,7 +36,7 @@ let fresh_pair () =
 let virtualize app =
   ignore (Tk.Dispatch.use_virtual_clock app.Tk.Core.disp : int -> unit)
 
-let metrics app = app.Tk.Core.metrics
+let metrics app name = Counters.value app.Tk.Core.counters ("tk.send." ^ name)
 
 (* ------------------------------------------------------------------ *)
 (* Self-send fast path: differentially identical to the wire path *)
@@ -81,11 +81,11 @@ let fast_path_tests =
         let server = Server.create () in
         let a = new_app ~server ~name:"solo" () in
         check_string "round trip" "7" (run a "send solo expr 3+4");
-        check_int "fast path counted" 1 (metrics a).Tk.Metrics.sends_self;
+        check_int "fast path counted" 1 (metrics a "self_fast_path");
         a.Tk.Core.send.Tk.Core.self_fast_path <- false;
         check_string "wire self-send still works" "8" (run a "send solo expr 4+4");
         check_int "wire path not miscounted as fast" 1
-          (metrics a).Tk.Metrics.sends_self );
+          (metrics a "self_fast_path") );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -134,11 +134,11 @@ let stale_tests =
           (Tcl.Tcl_list.format
              [ Tcl.Tcl_list.format [ "beta"; string_of_int dead ] ]
           ^ " " ^ raw_shard a "beta");
-        let before = (metrics a).Tk.Metrics.ghosts_collected in
+        let before = metrics a "ghosts_collected" in
         check_string "send succeeded on the retried entry" "42"
           (run a "send beta expr 41+1");
         check_bool "the ghost was collected" true
-          ((metrics a).Tk.Metrics.ghosts_collected > before);
+          (metrics a "ghosts_collected" > before);
         check_bool "registry is duplicate-free afterwards" true
           (List.length
              (List.filter
@@ -278,11 +278,11 @@ let mailbox_tests =
           check_bool "overflow error names the mailbox" true
             (contains ~needle:"mailbox" msg));
         check_int "three asyncs and the sync were rejected" 4
-          (metrics b).Tk.Metrics.mailbox_rejected;
+          (metrics b "mailbox_rejected");
         check_int "two asyncs were accepted" 2
-          (metrics b).Tk.Metrics.mailbox_enqueued;
+          (metrics b "mailbox_enqueued");
         check_bool "high water at the bound" true
-          ((metrics b).Tk.Metrics.mailbox_high_water <= 2) );
+          (metrics b "mailbox_depth_high_water" <= 2) );
     ( "send -retry rides out the overflow with jittered backoff",
       fun () ->
         let _server, a, b = fresh_pair () in
@@ -295,7 +295,7 @@ let mailbox_tests =
         | Ok v -> check_string "retried to success" "2" v
         | Error msg -> Alcotest.failf "retry failed: %s" msg);
         check_bool "at least one retry recorded" true
-          ((metrics a).Tk.Metrics.send_retries > 0);
+          (metrics a "retries" > 0);
         check_bool "retry consumed virtual time (backoff)" true
           (Tk.Dispatch.now_ms a.Tk.Core.disp > 0) );
     ( "async self-send defers to the own mailbox",
@@ -334,7 +334,7 @@ let async_future_tests =
         check_string "not yet evaluated" "before" (run b "set x");
         Tk.Core.update b;
         check_string "evaluated at the next drain" "after" (run b "set x");
-        check_int "async counted" 1 (metrics a).Tk.Metrics.sends_async );
+        check_int "async counted" 1 (metrics a "async") );
     ( "a future resolves ok and send wait returns the value",
       fun () ->
         let _server, a, _b = fresh_pair () in
@@ -371,8 +371,8 @@ let async_future_tests =
         check_bool "died, not lost" true (contains ~needle:"died" msg);
         check_int "nothing pending" 0 (Tk.Sendcmd.pending_futures a);
         check_int "every future resolved"
-          (metrics a).Tk.Metrics.futures_created
-          (metrics a).Tk.Metrics.futures_resolved );
+          (metrics a "futures_created")
+          (metrics a "futures_resolved") );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -404,7 +404,7 @@ let broadcast_tests =
         check_bool "dead editor reported died, broadcast not aborted" true
           (state "editor2" = "died" || state "editor2" = "missing");
         check_int "broadcast counted once" 1
-          (metrics a).Tk.Metrics.sends_broadcast );
+          (metrics a "broadcasts") );
     ( "send -glob multicasts to the matching subset, sorted by name",
       fun () ->
         let server = Server.create () in
@@ -478,8 +478,8 @@ let guard_tests =
         let msg = expect_error a "send beta {while 1 {set spin 1}}" in
         check_string "limited message"
           "script in application \"beta\" exceeded its command limit" msg;
-        check_int "sender counted it" 1 (metrics a).Tk.Metrics.sends_limited;
-        check_int "receiver counted it" 1 (metrics b).Tk.Metrics.recv_limited;
+        check_int "sender counted it" 1 (metrics a "limited");
+        check_int "receiver counted it" 1 (metrics b "recv_limited");
         (* The guard re-arms per request: the receiver is not wedged. *)
         check_string "receiver still serves" "2" (run a "send beta {expr 1+1}") );
     ( "time limit kills a clock runaway from the wire",
@@ -499,8 +499,8 @@ let guard_tests =
         let msg = expect_error a "send beta {exit 7}" in
         check_string "denial message"
           "permission denied: command \"exit\" is hidden" msg;
-        check_int "sender counted denial" 1 (metrics a).Tk.Metrics.sends_denied;
-        check_int "receiver counted denial" 1 (metrics b).Tk.Metrics.recv_denied;
+        check_int "sender counted denial" 1 (metrics a "denied");
+        check_int "receiver counted denial" 1 (metrics b "recv_denied");
         (* Benign scripts run, but in the slave: the main interpreter's
            variables never see them. *)
         check_string "benign script runs" "99" (run a "send beta {set marker 99}");

@@ -149,6 +149,8 @@ let optiondb_tests =
 (* ------------------------------------------------------------------ *)
 (* Resource cache (§3.3) *)
 
+let count conn name = Counters.value (Server.counters conn) name
+
 let rescache_tests =
   [
     ( "repeated color lookups hit the server once",
@@ -156,33 +158,33 @@ let rescache_tests =
         let server = Server.create () in
         let conn = Server.connect server ~name:"c" in
         let cache = Tk.Rescache.create conn in
-        Server.reset_stats conn;
+        Counters.reset (Server.counters conn);
         for _ = 1 to 10 do
           ignore (Tk.Rescache.color cache "MediumSeaGreen")
         done;
-        check_int "one alloc" 1 (Server.stats conn).Server.resource_allocs;
-        check_int "hits" 9 (Tk.Rescache.hits cache) );
+        check_int "one alloc" 1 (count conn "requests_resource");
+        check_int "hits" 9 (count conn "rescache_hits") );
     ( "disabled cache goes to the server every time",
       fun () ->
         let server = Server.create () in
         let conn = Server.connect server ~name:"c" in
         let cache = Tk.Rescache.create conn in
         Tk.Rescache.set_enabled cache false;
-        Server.reset_stats conn;
+        Counters.reset (Server.counters conn);
         for _ = 1 to 10 do
           ignore (Tk.Rescache.color cache "red")
         done;
-        check_int "ten allocs" 10 (Server.stats conn).Server.resource_allocs );
+        check_int "ten allocs" 10 (count conn "requests_resource") );
     ( "cache keys are case-insensitive textual names",
       fun () ->
         let server = Server.create () in
         let conn = Server.connect server ~name:"c" in
         let cache = Tk.Rescache.create conn in
-        Server.reset_stats conn;
+        Counters.reset (Server.counters conn);
         ignore (Tk.Rescache.color cache "Red");
         ignore (Tk.Rescache.color cache "red");
         ignore (Tk.Rescache.color cache "RED");
-        check_int "one alloc" 1 (Server.stats conn).Server.resource_allocs );
+        check_int "one alloc" 1 (count conn "requests_resource") );
     ( "reverse lookup returns the textual name (§3.3)",
       fun () ->
         let server = Server.create () in
@@ -826,11 +828,13 @@ let widget_framework_tests =
         ignore (run app "frame .f -width 64 -height 32");
         ignore (run app "pack append . .f {top}");
         Tk.Core.update app;
-        let before = (Server.stats app.Tk.Core.conn).Server.round_trips in
+        let round_trips () =
+          Counters.value app.Tk.Core.counters "round_trips"
+        in
+        let before = round_trips () in
         check_string "width" "64" (run app "winfo width .f");
         check_string "class" "Frame" (run app "winfo class .f");
-        let after = (Server.stats app.Tk.Core.conn).Server.round_trips in
-        check_int "no round trips" before after );
+        check_int "no round trips" before (round_trips ()) );
     ( "winfo children",
       fun () ->
         let _, app = fresh_app () in

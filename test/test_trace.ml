@@ -293,21 +293,145 @@ let metrics_tests =
         check_int "one dispatch" 1 (xstat_int app "binding_dispatches") );
     ( "timer and idle sweeps are counted with virtual-clock latency",
       fun () ->
-        let disp = Tk.Dispatch.create () in
+        let counters = Counters.create () in
+        let disp = Tk.Dispatch.create ~counters () in
         let advance = Tk.Dispatch.use_virtual_clock disp in
         Tk.Dispatch.when_idle disp (fun () -> ());
         ignore (Tk.Dispatch.run_idle disp);
         ignore (Tk.Dispatch.after disp ~ms:10 (fun () -> Tk.Dispatch.sleep_ms disp 7));
         advance 10;
         ignore (Tk.Dispatch.run_due_timers disp);
-        let c = Tk.Dispatch.counters disp in
-        check_int "timers fired" 1 c.Tk.Dispatch.timers_fired;
-        check_int "idles run" 1 c.Tk.Dispatch.idles_run;
-        check_int "two sweeps" 2 c.Tk.Dispatch.sweeps;
+        let count = Counters.value counters in
+        check_int "timers fired" 1 (count "timers_fired");
+        check_int "idles run" 1 (count "idles_run");
+        check_int "two sweeps" 2 (count "dispatch_sweeps");
         (* The timer callback slept 7 virtual ms: that is the sweep's
            latency on the pluggable clock, deterministically. *)
-        check_bool "sweep latency = 7ms" true
-          (abs_float (c.Tk.Dispatch.sweep_ms_last -. 7.0) < 0.001) );
+        check_string "sweep latency = 7ms" "7.000"
+          (Option.get (Counters.find counters "sweep_ms_last")) );
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The counter registry: its name set, reset scope and lookups *)
+
+(* The entries whose value is computed, not counted: a reset leaves them
+   alone. *)
+let computed_entries =
+  [
+    "faults_injected"; "faults_absorbed"; "trace_records";
+    "tcl.compile.enabled"; "tcl.compile.script_cache_size";
+    "tcl.compile.expr_cache_size"; "tcl.vm.canonical"; "tcl.interp.slaves";
+    "tcl.interp.safe_slaves"; "tcl.interp.recursionlimit";
+    "tcl.interp.time_limit_ms"; "tcl.interp.command_limit";
+  ]
+
+let xstat_names app =
+  match Tcl.Tcl_list.parse (run app "xstat") with
+  | Error msg -> Alcotest.failf "xstat output unparsable: %s" msg
+  | Ok words -> List.filteri (fun i _ -> i mod 2 = 0) words
+
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | line -> go (line :: acc)
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+  in
+  go []
+
+let registry_tests =
+  [
+    ( "a fresh app reports the fixture's counter names, each once",
+      fun () ->
+        let _server, app = fresh_app () in
+        let names = xstat_names app in
+        check_int "no duplicates" (List.length names)
+          (List.length (List.sort_uniq compare names));
+        Alcotest.(check (list string))
+          "same names"
+          (List.sort compare (read_lines "xstat_names.txt"))
+          (List.sort compare names) );
+    ( "xstat reset zeroes every counter and no computed value",
+      fun () ->
+        let server, app = fresh_app () in
+        (* Compile the reset script first, so that running it again below
+           does not grow the script cache. *)
+        ignore (run app "xstat reset");
+        ignore (run app "xtrace on");
+        ignore (run app "interp create -safe s");
+        ignore (run app "interp recursionlimit {} 900");
+        ignore (run app "set e {1 + 2}; expr $e");
+        Server.script_fault server Xerror.BadAlloc;
+        ignore (run app "button .b -text hi -foreground orange");
+        ignore (run app "pack append . .b {top}");
+        ignore (run app "update");
+        let before = Tk.Core.metrics_snapshot app in
+        List.iter
+          (fun name ->
+            check_bool (name ^ " is set before the reset") true
+              (List.assoc name before <> "0"))
+          [
+            "faults_injected"; "faults_absorbed"; "trace_records";
+            "tcl.compile.script_cache_size"; "tcl.compile.expr_cache_size";
+            "tcl.interp.slaves"; "tcl.interp.safe_slaves"; "requests_total";
+            "tcl.interp.creates"; "redraws_drawn";
+          ];
+        ignore (run app "xstat reset");
+        List.iter2
+          (fun (name, was) (name', now) ->
+            check_string "same order" name name';
+            if List.mem name computed_entries then
+              check_string (name ^ " kept") was now
+            else
+              check_bool (name ^ " zeroed") true (now = "0" || now = "0.000"))
+          before
+          (Tk.Core.metrics_snapshot app) );
+    ( "a slave's guard trips show in the master's tcl.limit counters",
+      fun () ->
+        let _server, app = fresh_app () in
+        ignore (run app "interp create s");
+        ignore (run app "interp limit s commands -value 25");
+        ignore (run app "catch {interp eval s {while 1 {set spin 1}}}");
+        check_int "trip counted" 1 (xstat_int app "tcl.limit.cmd_exceeded");
+        check_bool "checks counted" true (xstat_int app "tcl.limit.checks" > 0);
+        ignore (run app "xstat reset");
+        check_int "reset with the app" 0
+          (xstat_int app "tcl.limit.cmd_exceeded") );
+    ( "xstat get reads one entry; an unknown name is an error",
+      fun () ->
+        let _server, app = fresh_app () in
+        check_string "rendered like the listing"
+          (xstat_get app "tcl.interp.recursionlimit")
+          (run app "xstat get tcl.interp.recursionlimit");
+        check_string "sweep latency in ms" "0.000"
+          (run app "xstat get sweep_ms_last");
+        match Tcl.Interp.eval_value app.Tk.Core.interp "xstat get nosuch" with
+        | Ok v -> Alcotest.failf "expected an error, got %S" v
+        | Error msg ->
+          check_string "message" "unknown counter \"nosuch\"" msg );
+    ( "xstat reset does not rewind the request serial",
+      fun () ->
+        let _server, app = fresh_app () in
+        let conn = app.Tk.Core.conn in
+        ignore (run app "xtrace on");
+        ignore (run app "button .a -text a");
+        ignore (run app "pack append . .a {top}");
+        ignore (run app "update");
+        let serial = Server.serial conn in
+        ignore (run app "xstat reset");
+        check_int "serial kept" serial (Server.serial conn);
+        ignore (run app "button .b -text b");
+        ignore (run app "pack append . .b {top}");
+        ignore (run app "update");
+        let serials =
+          List.map (fun r -> r.Trace.serial) (Server.trace conn)
+        in
+        check_int "no duplicate serials in the ring" (List.length serials)
+          (List.length (List.sort_uniq compare serials));
+        check_bool "serials increase" true
+          (List.sort compare serials = serials) );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -393,5 +517,6 @@ let () =
       suite "ring" ring_tests;
       suite "budget" budget_tests;
       suite "metrics" metrics_tests;
+      suite "registry" registry_tests;
       suite "eventloop" eventloop_tests;
     ]

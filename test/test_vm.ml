@@ -353,12 +353,12 @@ let counter_tests =
         ignore (run tcl "rename incr_orig incr");
         check_string "restoring the builtin restores canonical" "1"
           (vm_stat tcl "canonical") );
-    ( "reset_vm_stats clears the counters",
+    ( "a counter reset clears the vm counters",
       fun () ->
         let tcl = new_interp Vm in
         ignore (run tcl "proc f {} {return 1}; f");
         check_bool "counters moved" true (vm_stat_int tcl "compiled" > 0);
-        Tcl.Interp.reset_vm_stats tcl;
+        Counters.reset (Tcl.Interp.counters tcl);
         check_int "compiled cleared" 0 (vm_stat_int tcl "compiled");
         check_int "slot hits cleared" 0 (vm_stat_int tcl "slot_hits") );
   ]

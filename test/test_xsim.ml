@@ -214,12 +214,12 @@ let resource_tests =
     ( "resource requests are counted as round trips",
       fun () ->
         let _, conn = make_display () in
-        Server.reset_stats conn;
+        Counters.reset (Server.counters conn);
         ignore (Server.alloc_color conn "red");
         ignore (Server.open_font conn "fixed");
-        let s = Server.stats conn in
-        check_int "allocs" 2 s.Server.resource_allocs;
-        check_int "round trips" 2 s.Server.round_trips );
+        let count = Counters.value (Server.counters conn) in
+        check_int "allocs" 2 (count "requests_resource");
+        check_int "round trips" 2 (count "round_trips") );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -623,6 +623,78 @@ let geom_tests =
           Geom.intersects a b = (Geom.intersect a b <> None)) );
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Properties of the rasterizer: every primitive is clipped per cell *)
+
+type prim =
+  | P_fill of Geom.rect
+  | P_outline of Geom.rect
+  | P_line of int * int * int * int
+  | P_text of int * int
+  | P_relief of Geom.rect
+
+let gen_prim =
+  let open QCheck.Gen in
+  let coord = int_range (-400) 900 in
+  let rect =
+    map (fun ((x, y), (w, h)) -> Geom.rect ~x ~y ~width:w ~height:h)
+      (pair (pair coord coord) (pair (int_range 1 700) (int_range 1 500)))
+  in
+  oneof
+    [
+      map (fun r -> P_fill r) rect;
+      map (fun r -> P_outline r) rect;
+      map (fun ((x1, y1), (x2, y2)) -> P_line (x1, y1, x2, y2))
+        (pair (pair coord coord) (pair coord coord));
+      map (fun (x, y) -> P_text (x, y)) (pair coord coord);
+      map (fun r -> P_relief r) rect;
+    ]
+
+let draw_prim conn w gc = function
+  | P_fill r -> Server.fill_rect conn w gc r
+  | P_outline r -> Server.draw_rect conn w gc r
+  | P_line (x1, y1, x2, y2) -> Server.draw_line conn w gc ~x1 ~y1 ~x2 ~y2
+  | P_text (x, y) -> Server.draw_text conn w gc ~x ~y "clipped text"
+  | P_relief r -> Server.draw_relief conn w r ~raised:true ~width:2
+
+let raster_properties =
+  [
+    QCheck.Test.make ~count:300 ~name:"render writes no cell outside the clip"
+      (QCheck.make
+         QCheck.Gen.(
+           pair
+             (pair (pair (int_range (-100) 600) (int_range (-100) 450))
+                (pair (int_range 1 200) (int_range 1 150)))
+             (list_size (int_range 1 4) gen_prim)))
+      (fun (((x, y), (width, height)), prims) ->
+        let server, conn = make_display () in
+        (* No background: only the primitives draw, over the root's blank
+           (white) fill. *)
+        let w = new_window conn ~x ~y ~width ~height (Server.root server) in
+        Server.map_window conn w;
+        let font = Option.get (Server.open_font conn "fixed") in
+        let black = Option.get (Color.parse "black") in
+        let gc = Server.create_gc conn ~foreground:black ~font () in
+        List.iter (draw_prim conn w gc) prims;
+        let clip = Geom.rect ~x ~y ~width ~height in
+        List.for_all Fun.id
+          (List.mapi
+             (fun row line ->
+               let ok = ref true in
+               String.iteri
+                 (fun col c ->
+                   let cell =
+                     Geom.rect ~x:(col * Raster.scale_x)
+                       ~y:(row * Raster.scale_y) ~width:Raster.scale_x
+                       ~height:Raster.scale_y
+                   in
+                   if c <> ' ' && not (Geom.intersects cell clip) then
+                     ok := false)
+                 line;
+               !ok)
+             (String.split_on_char '\n' (Raster.render server ()))));
+  ]
+
 let to_alcotest = List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
 
 let () =
@@ -635,4 +707,6 @@ let () =
       ("raster", to_alcotest raster_tests);
       ( "geometry-properties",
         List.map (fun (_, t) -> QCheck_alcotest.to_alcotest t) geom_tests );
+      ( "raster-properties",
+        List.map QCheck_alcotest.to_alcotest raster_properties );
     ]
